@@ -7,11 +7,12 @@ With ``--trace 0`` it generates the workload's inputs from the seed and
 runs the real CLI (``python -m citemetric.cli`` with ``PYTHONPATH=src``)
 as a child process, one command at a time: a closed loop with one
 client.  It checks every output and prints the end-to-end metrics.  With
-``--trace 1`` it also runs each command's pipeline in-process, one span
-per call into a module, and prints the per-layer metrics.  The last line
-of standard output is one JSON object: correct, attempted, failed and
-metrics.  A run record, with the spans of the last traced command, goes
-to ``.bench_work/`` at the root of the checkout.  See ``bench/README.md``.
+``--trace 1`` it also runs each command in-process through
+``citemetric.cli.main``, one span per call into a module, and prints the
+per-layer metrics.  The last line of standard output is one JSON object:
+correct, attempted, failed and metrics.  A run record, with the spans of
+the last traced command, goes to ``.bench_work/`` at the root of the
+checkout.  See ``bench/README.md``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ WORK = ROOT / ".bench_work"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [workload["name"] for workload in SPEC["workloads"]]
 
-SETUP_ROUNDS = 8  # rounds of bare-interpreter, import and reference children
+SETUP_ROUNDS = 16  # rounds of bare-interpreter, import and reference children
 MIN_COMMANDS = 3  # timed commands per run, whatever --seconds says
 UNTRACED_SHARE = 0.3  # of --seconds, spent on CLI commands in a traced run
 MAX_TRACED = 300  # traced commands kept per run, to bound memory
@@ -261,11 +262,12 @@ def end_to_end(timed: list[Sample], imported: list[Sample]) -> tuple[dict[str, f
     return metrics, details
 
 
-# Pipeline spans whose self time is reported as <span>_s; with ingest.parse
-# (split into decode and validate) and the pipeline's own glue they cover
-# the whole traced total.
+# Spans under the command's root whose self time is reported as <span>_s.
+# ingest.parse is reported as ingest.validate_s: its self time is the parse
+# minus its ingest.decode child.  With the root's own self time,
+# trace.glue_s, they split trace.total_s exactly.
 LAYER_SPANS = (
-    "cli.emit", "ingest.scan", "ingest.read", "ingest.table", "ingest.write_profile",
+    "cli.emit", "ingest.scan", "ingest.read", "ingest.decode", "ingest.table", "ingest.write_profile",
     "profile.build", "indices.report", "collective.merge", "render.spec", "render.svg",
 )
 COUNTERS = (
@@ -278,60 +280,63 @@ def layer_values(trace) -> dict[str, float]:
     """Per-layer numbers of one traced command: self times in s, and counts."""
     import tracer
 
-    pipeline = trace.self_times(tracer.PIPELINE)
-    decode = trace.self_times(tracer.DECODE_PASS).get("ingest.decode", 0)
+    command = trace.self_times(tracer.COMMAND)
+    unknown = set(command) - set(LAYER_SPANS) - {"ingest.parse", tracer.COMMAND}
+    if unknown:
+        raise RuntimeError(f"spans without a metric: {sorted(unknown)}")
     single = trace.self_times(tracer.SINGLE_INDEX_PASS)
-    values = {f"{name}_s": pipeline.get(name, 0) / 1e9 for name in LAYER_SPANS}
-    values["ingest.decode_s"] = decode / 1e9
-    values["ingest.validate_s"] = (pipeline.get("ingest.parse", 0) - decode) / 1e9
+    values = {f"{name}_s": command.get(name, 0) / 1e9 for name in LAYER_SPANS}
+    values["ingest.validate_s"] = command.get("ingest.parse", 0) / 1e9
     values.update({f"{name}_s": single.get(name, 0) / 1e9 for name, _, _ in tracer.SINGLE_INDEX})
     values.update({name: float(trace.counts.get(name, 0)) for name in COUNTERS})
     files = trace.counts.get("ingest.files", 0)
     values["ingest.parsed_ratio"] = trace.counts.get("ingest.documents", 0) / files if files else 0.0
-    values["trace.total_s"] = trace.root_ns(tracer.PIPELINE) / 1e9
-    values["trace.glue_s"] = pipeline.get(tracer.PIPELINE, 0) / 1e9
-    unknown = set(pipeline) - set(LAYER_SPANS) - {"ingest.parse", tracer.PIPELINE}
-    if unknown:
-        raise RuntimeError(f"pipeline spans without a metric: {sorted(unknown)}")
+    values["trace.total_s"] = trace.root_ns(tracer.COMMAND) / 1e9
+    values["trace.glue_s"] = command.get(tracer.COMMAND, 0) / 1e9
     return values
 
 
-def traced(runner: Runner, seconds: float, record: dict) -> dict[str, float]:
-    """Traced commands in-process until ``seconds`` pass; medians per layer."""
+def traced(runner: Runner, seconds: float, untraced_s: float, record: dict) -> dict[str, float]:
+    """The workload's commands, run in-process and traced until ``seconds`` pass; medians per layer.
+
+    Every traced command must write the bytes its CLI child wrote.
+    ``untraced_s`` is wall_s - setup_s of the CLI children, at reference
+    speed; reference children right before and after the traced commands
+    bring trace.total_s to the same speed for trace.overhead_ratio.
+    """
     import tracer
 
     outputs = Outputs()
     iterations: list[dict[str, float]] = []
     last = None
+    before = runner.reference()
     deadline = time.perf_counter() + seconds
     index = 0
     while index < MAX_TRACED and (index < 2 or time.perf_counter() < deadline):
         command = runner.workload.commands[index % len(runner.workload.commands)]
-        trace, stdout = tracer.traced_command(runner.workload.name, command)
+        if command.output is not None:
+            command.output.unlink(missing_ok=True)
+        trace, exit_code, stdout, stderr = tracer.traced_command(command.args)
         runner.attempted += 1
-        if not outputs.verify(command, stdout.encode("utf-8")):
+        if not outputs.verify(command, stdout, stderr, exit_code):
             runner.failed += 1
         if index > 0:  # the first traced command warms up
             iterations.append(layer_values(trace))
             last = trace
         index += 1
-    if runner.workload.name in tracer.BYTE_EXACT:
-        for key, digest in outputs.digests.items():
-            if digest != runner.outputs.digests.get(key):
-                runner.failed += 1
-                outputs.note(f"{key}: traced output differs from the CLI's")
+    reference_s = (before.seconds + runner.reference().seconds) / 2
+    for key, digest in outputs.digests.items():
+        if digest != runner.outputs.digests.get(key):
+            runner.failed += 1
+            outputs.note(f"{key}: traced output differs from the CLI's")
     for problem in outputs.problems:
         runner.outputs.note(problem)
     medians = {name: statistics.median(values[name] for values in iterations) for name in iterations[0]}
-    accounted = [
-        values["trace.total_s"]
-        - sum(values[f"{name}_s"] for name in LAYER_SPANS)
-        - values["ingest.decode_s"] - values["ingest.validate_s"] - values["trace.glue_s"]
-        for values in iterations
-    ]
+    total_s = medians["trace.total_s"] / reference_s * REFERENCE_S
+    medians["trace.overhead_ratio"] = total_s / untraced_s if untraced_s > 0 else 0.0
     record["trace"] = {
         "traced_commands": len(iterations),
-        "max_unaccounted_s": max(abs(value) for value in accounted),
+        "reference_s": reference_s,
         "spans_of_last_command": last.to_json(),
         "counts_of_last_command": dict(last.counts),
     }
@@ -390,11 +395,9 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, scale: float
         budget = seconds * UNTRACED_SHARE if trace else seconds
         metrics, record["details"] = end_to_end(runner.commands(budget), imported)
         if trace:
-            layers = traced(runner, seconds - budget, record)
+            layers = traced(runner, seconds - budget, metrics["wall_s"] - metrics["setup_s"], record)
             layers["cli.interpreter_s"] = record["setup"]["bare_interpreter_s"]
             layers["cli.import_s"] = record["setup"]["import_citemetric_cli_s"]
-            untraced = metrics["wall_s"] - metrics["setup_s"]  # paired, so free of drift between phases
-            layers["trace.overhead_ratio"] = layers["trace.total_s"] / untraced if untraced > 0 else 0.0
             record["end_to_end_of_traced_run"] = metrics
             metrics = layers
         record.update(
@@ -425,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no citemetric sources under {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    os.environ.pop("CITEMETRIC_FORMAT", None)  # the traced in-process CLI reads it too
 
     wanted = SPEC["per_layer"] if args.trace else SPEC["end_to_end"]
     units = {metric["name"]: metric["unit"] for metric in wanted}

@@ -98,3 +98,16 @@ def test_tail_is_the_highest_percentile_with_ten_samples_beyond():
     assert tail([float(i) for i in range(25)]) == (14.0, 60.0, 25)
     assert tail([float(i) for i in range(20)]) == (9.0, 50.0, 20)
     assert tail([3.0, 1.0, 2.0]) == (2.0, 50.0, 3)
+
+
+def test_traced_command_runs_the_cli_and_restores_the_library(tmp_path):
+    import tracer
+
+    command = workloads.generate("big_author", 5, tmp_path, scale=0.01).commands[0]
+    originals = [getattr(namespace, attribute) for namespace, attribute, _, _ in tracer.WRAPPED]
+    trace, exit_code, stdout, stderr = tracer.traced_command(command.args)
+    assert (exit_code, stderr) == (0, b"")
+    assert command.check(stdout, command.output.read_bytes()) == []
+    assert [getattr(namespace, attribute) for namespace, attribute, _, _ in tracer.WRAPPED] == originals
+    names = {name for name, _, _, _ in trace.spans}
+    assert {"ingest.read", "ingest.parse", "ingest.decode", "collective.merge", "ingest.write_profile"} <= names

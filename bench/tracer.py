@@ -1,51 +1,32 @@
-"""In-process traced run: one span per call into a citemetric module.
+"""In-process traced run of the real CLI: one span per call into a module.
 
-Each pipeline calls the public functions of ``src/citemetric`` in the
-order the CLI subcommand calls them, and wraps every call in a span
-named ``<module>.<step>``.  Spans keep name, start, end and parent in
-memory; ``Trace.self_times`` gives each span's duration minus the time
-its children cover.  Two passes run beside the pipeline, under roots of
-their own so that they add nothing to its total: ``json.loads`` on each
-JSON text (the decode share of ``ingest.parse``) and every single-index
-function on each reported profile.
+``traced_command`` runs ``citemetric.cli.main`` on a command's arguments,
+with standard output and standard error captured.  While it runs, the
+names through which the CLI and the library modules reach each other are
+rebound to wrappers that open a span named ``<module>.<step>`` (see
+``WRAPPED``), so the spans come from the CLI's own sequence of calls.
+Spans keep name, start, end and parent in memory; ``Trace.self_times``
+gives each span's duration minus the time its children cover.  After the
+command, every single-index function runs on each profile the command
+built or merged, under a root of its own, so that it adds nothing to the
+command's total.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import pathlib
 from collections import defaultdict
-from contextlib import contextmanager
-from pathlib import Path
 from time import perf_counter_ns
 from typing import Callable, Iterator
+from unittest import mock
 
-from citemetric.collective import collective_report, merge_profiles
-from citemetric.indices import (
-    c_k,
-    compute_report,
-    g_index_parabola,
-    h_index,
-    i_k,
-    kh1,
-    kh2,
-    kh3,
-    kh_max,
-)
-from citemetric.ingest import (
-    ProfileDocument,
-    parse_profile_csv,
-    parse_profile_json,
-    write_profile,
-    write_report_table,
-)
-from citemetric.render import build_plot_spec, render_svg
+from citemetric import cli, collective, ingest
+from citemetric.indices import c_k, g_index_parabola, h_index, i_k, kh1, kh2, kh3, kh_max
 
-from oracle import half_up
-from workloads import Command
-
-PIPELINE = "pipeline"
-DECODE_PASS = "decode_pass"
+COMMAND = "cli.main"
 SINGLE_INDEX_PASS = "single_index_pass"
 SINGLE_INDEX = (
     ("indices.h", h_index, ()),
@@ -65,23 +46,27 @@ class Trace:
     def __init__(self) -> None:
         self.spans: list[list] = []  # [name, start_ns, end_ns, parent index or -1]
         self.counts: dict[str, int] = defaultdict(int)
+        self.profiles: list = []  # every profile built or merged, for the single-index pass
         self._open: list[int] = []
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
+    def open(self, name: str) -> int:
         index = len(self.spans)
         self.spans.append([name, 0, 0, self._open[-1] if self._open else -1])
         self._open.append(index)
         self.spans[index][1] = perf_counter_ns()
+        return index
+
+    def close(self, index: int) -> None:
+        self.spans[index][2] = perf_counter_ns()
+        self._open.pop()
+
+    @contextlib.contextmanager
+    def span(self, name: str) -> Iterator[None]:
+        index = self.open(name)
         try:
             yield
         finally:
-            self.spans[index][2] = perf_counter_ns()
-            self._open.pop()
-
-    def call(self, name: str, fn: Callable, *args, **kwargs):
-        with self.span(name):
-            return fn(*args, **kwargs)
+            self.close(index)
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counts[name] += amount
@@ -111,123 +96,96 @@ class Trace:
         ]
 
 
-def _load(trace: Trace, path: Path, texts: list[str]) -> ProfileDocument:
-    """What ``parse_profile`` does for a path: read, then parse by suffix."""
-    text = trace.call("ingest.read", path.read_text, encoding="utf-8")
+def _count_read(trace: Trace, args, text: str) -> None:
     trace.count("ingest.files")
     trace.count("ingest.bytes_in", len(text))  # the generated inputs are ASCII
-    if path.suffix == ".json":
-        texts.append(text)
-        document = trace.call("ingest.parse", parse_profile_json, text)
-    else:
-        document = trace.call("ingest.parse", parse_profile_csv, text, path.stem)
-    trace.count("ingest.documents")
-    return document
 
 
-def _build(trace: Trace, document: ProfileDocument):
-    trace.count("profile.works", len(document.citations))
-    return trace.call("profile.build", document.to_profile)
+def _count_built(trace: Trace, args, profile) -> None:
+    trace.count("profile.works", profile.r0)
+    trace.profiles.append(profile)
 
 
-def _report(trace: Trace, fn: Callable, item):
-    trace.count("indices.reports")
-    return trace.call("indices.report", fn, item)
+def _count_merged(trace: Trace, args, merged) -> None:
+    trace.count("collective.works_pooled", merged.merged.r0)
+    trace.profiles.append(merged.merged)
 
 
-def _merge(trace: Trace, profiles: list, label: str):
-    trace.count("collective.works_pooled", sum(profile.r0 for profile in profiles))
-    return trace.call("collective.merge", merge_profiles, profiles, label=label)
+# (namespace, attribute, span name, counter run on (trace, args, result)).
+# The CLI and the library import these names into their own modules, so
+# each is rebound where it is looked up.  ``merge_profiles`` builds the
+# pooled profile through the collective module's own ``build_profile``,
+# which is left unwrapped: that build counts under collective.merge.
+WRAPPED: tuple[tuple[object, str, str, Callable | None], ...] = (
+    (cli, "scan_directory", "ingest.scan", None),
+    (pathlib.Path, "read_text", "ingest.read", _count_read),
+    (ingest, "parse_profile_json", "ingest.parse", lambda trace, args, doc: trace.count("ingest.documents")),
+    (ingest, "parse_profile_csv", "ingest.parse", lambda trace, args, doc: trace.count("ingest.documents")),
+    (ingest, "build_profile", "profile.build", _count_built),
+    (cli, "compute_report", "indices.report", lambda trace, args, report: trace.count("indices.reports")),
+    (collective, "compute_report", "indices.report", lambda trace, args, report: trace.count("indices.reports")),
+    (cli, "merge_profiles", "collective.merge", _count_merged),
+    (cli, "write_report_table", "ingest.table", lambda trace, args, text: trace.count("ingest.bytes_out", len(text))),
+    (cli, "write_profile", "ingest.write_profile", lambda trace, args, text: trace.count("ingest.bytes_out", len(text))),
+    (cli, "build_plot_spec", "render.spec",
+     lambda trace, args, spec: trace.count("render.vertices", sum(len(curve.vertices) for curve in spec.curves))),
+    (cli, "render_svg", "render.svg", lambda trace, args, svg: trace.count("render.svg_bytes", len(svg))),
+    (cli, "_emit_text", "cli.emit", None),
+    (cli, "_emit_bytes", "cli.emit", None),
+    (pathlib.Path, "write_text", "cli.emit", None),  # merge writes its document without _emit_text
+)
 
 
-def _table(trace: Trace, *args, **kwargs) -> str:
-    text = trace.call("ingest.table", write_report_table, *args, **kwargs)
-    trace.count("ingest.bytes_out", len(text))
-    return text
+def _wrap(trace: Trace, name: str, fn: Callable, counter: Callable | None) -> Callable:
+    def traced(*args, **kwargs):
+        index = trace.open(name)
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            trace.close(index)
+        if counter is not None:
+            counter(trace, args, result)
+        return result
+
+    return traced
 
 
-def corpus_table(trace: Trace, command: Command, texts: list[str], stdout: io.StringIO) -> list:
-    """``table DIR --with-total --include-kh -o OUT``"""
-    directory = command.inputs[0]
-    with trace.span("ingest.scan"):
-        files = sorted(directory.glob("*.json")) + sorted(directory.glob("*.csv"))
-        documents = [_load(trace, file, texts) for file in files]
-        documents.sort(key=lambda document: document.author_id)
-    profiles = [_build(trace, document) for document in documents]
-    profiles.sort(key=lambda profile: (-profile.c_max, profile.author_id))
-    reports = [_report(trace, compute_report, profile) for profile in profiles]
-    collective = _merge(trace, profiles, "total")
-    total = _report(trace, collective_report, collective)
-    text = _table(trace, reports, "csv", include_kh=True, total=total)
-    trace.call("cli.emit", command.output.write_text, text, encoding="utf-8")
-    return profiles + [collective.merged]
+class _Json:
+    """Stands in for the json module inside ingest, so json.loads gets the span ingest.decode."""
+
+    def __init__(self, trace: Trace) -> None:
+        self.loads = _wrap(trace, "ingest.decode", json.loads, None)
+
+    def __getattr__(self, name: str):
+        return getattr(json, name)
 
 
-def big_author(trace: Trace, command: Command, texts: list[str], stdout: io.StringIO) -> list:
-    """``merge A.json B.csv --label pooled -o OUT --format csv --include-kh``"""
-    profiles = [_build(trace, _load(trace, path, texts)) for path in command.inputs]
-    collective = _merge(trace, profiles, "pooled")
-    document = ProfileDocument(author_id=collective.merged.author_id, citations=collective.merged.counts)
-    report = _report(trace, collective_report, collective)
-    text = trace.call("ingest.write_profile", write_profile, document, "json")
-    trace.count("ingest.bytes_out", len(text))
-    trace.call("cli.emit", command.output.write_text, text, encoding="utf-8")
-    trace.call("cli.emit", stdout.write, _table(trace, [report], "csv", include_kh=True))
-    return [collective.merged]
+@contextlib.contextmanager
+def _traced_modules(trace: Trace) -> Iterator[None]:
+    with contextlib.ExitStack() as stack:
+        for namespace, attribute, name, counter in WRAPPED:
+            fn = getattr(namespace, attribute)
+            stack.enter_context(mock.patch.object(namespace, attribute, _wrap(trace, name, fn, counter)))
+        stack.enter_context(mock.patch.object(ingest, "json", _Json(trace)))
+        yield
 
 
-def cold_compute(trace: Trace, command: Command, texts: list[str], stdout: io.StringIO) -> list:
-    """``compute FILE``; the CLI's text formatting is private, so only the checked fields are written."""
-    profile = _build(trace, _load(trace, command.inputs[0], texts))
-    report = _report(trace, compute_report, profile)
-    fields = {name: str(getattr(report, name)) for name in ("author_id", "r0", "r", "c_sigma", "c10", "c_max", "h", "i10")}
-    fields["kh2"] = half_up(report.kh2)
-    stdout.write("".join(f"{name}: {value}\n" for name, value in fields.items()))
-    return [profile]
+def traced_command(args: tuple[str, ...]) -> tuple[Trace, int, bytes, bytes]:
+    """Run the CLI in-process on ``args``, traced, then the single-index pass.
 
-
-def long_curve_plot(trace: Trace, command: Command, texts: list[str], stdout: io.StringIO) -> list:
-    """``plot A.json B.json --guides --include-g --with-merged -o OUT.svg``"""
-    profiles = [_build(trace, _load(trace, path, texts)) for path in command.inputs]
-    collective = _merge(trace, profiles, "merged")
-    spec = trace.call(
-        "render.spec", build_plot_spec, profiles + [collective],
-        guides=True, include_g=True, log_y=False, dashed={"merged"},
-    )
-    trace.count("render.vertices", sum(len(curve.vertices) for curve in spec.curves))
-    svg = trace.call("render.svg", render_svg, spec)
-    trace.count("render.svg_bytes", len(svg))
-    trace.call("cli.emit", command.output.write_bytes, svg)
-    return profiles + [collective.merged]
-
-
-# Workloads whose pipeline writes exactly the bytes the CLI writes; the
-# compute pipeline stops short of the CLI's private text formatting.
-BYTE_EXACT = {"corpus_table", "big_author", "long_curve_plot"}
-
-PIPELINES = {
-    "corpus_table": corpus_table,
-    "big_author": big_author,
-    "cold_compute": cold_compute,
-    "long_curve_plot": long_curve_plot,
-}
-
-
-def traced_command(workload: str, command: Command) -> tuple[Trace, str]:
-    """Run one command's pipeline traced, then the decode and single-index passes.
-
-    Returns the trace and what the CLI would have written to stdout.
+    Returns the trace, the exit code and what the command wrote to
+    standard output and standard error.
     """
     trace = Trace()
-    texts: list[str] = []
-    stdout = io.StringIO()
-    with trace.span(PIPELINE):
-        reported = PIPELINES[workload](trace, command, texts, stdout)
-    with trace.span(DECODE_PASS):
-        for text in texts:
-            trace.call("ingest.decode", json.loads, text)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # with .buffer, as _emit_bytes needs
+    stderr = io.StringIO()
+    with _traced_modules(trace), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with trace.span(COMMAND):
+            code = cli.main(list(args))
+    stdout.flush()
     with trace.span(SINGLE_INDEX_PASS):
-        for profile in reported:
-            for name, fn, args in SINGLE_INDEX:
-                trace.call(name, fn, profile, *args)
-    return trace, stdout.getvalue()
+        for profile in trace.profiles:
+            for name, fn, extra in SINGLE_INDEX:
+                with trace.span(name):
+                    fn(profile, *extra)
+    return trace, code, stdout.buffer.getvalue(), stderr.getvalue().encode("utf-8")
