@@ -12,9 +12,6 @@ diagnostic was emitted.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +27,7 @@ from .ingest import (
     scan_directory,
     write_profile,
     write_report_table,
+    write_table,
 )
 from .render import build_plot_spec, render_svg, write_points_csv
 
@@ -185,19 +183,7 @@ def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list
 def cmd_compare(args: argparse.Namespace) -> int:
     documents = [_load_document(path) for path in args.paths]
     header, rows = _compare_rows(documents)
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit_text(buffer.getvalue(), args.output)
-    else:
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-        ]
-        lines.extend("| " + " | ".join(row) + " |" for row in rows)
-        _emit_text("\n".join(lines) + "\n", args.output)
+    _emit_text(write_table(header, rows, args.format), args.output)
     return 0
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, EmptyProfileError, MissingFieldError
-from .profile import CitationProfile, CrossingPoint
+from .profile import CitationProfile, CrossingPoint, first_vertex
 
 
 @dataclass(frozen=True)
@@ -52,26 +52,19 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
         raise DomainError(f"slope must be positive, got {slope!r}")
     if slope >= profile.c_max:
         return CrossingPoint(r_star=profile.c_max / slope, c_star=float(profile.c_max))
-    counts = profile.counts
-    for k in range(1, profile.r + 1):
-        here = counts[k - 1]
-        nxt = counts[k] if k < profile.r else 0
-        if nxt - slope * (k + 1) <= 0.0:  # difference changes sign inside (k, k + 1]
-            seg = nxt - here  # segment slope, <= 0
-            x = (here - seg * k) / (slope - seg)
-            return CrossingPoint(r_star=x, c_star=slope * x)
-    raise AssertionError("unreachable: the curve closes at zero")
+    # The first vertex on or below the ray closes the crossing segment (k, k + 1].
+    # Rank 1 lies above the ray (slope < c_max) even where float(c_max) rounds onto it.
+    k = first_vertex(profile, lambda j, c: j > 1 and c - slope * j <= 0.0) - 1
+    here = profile.counts[k - 1]
+    nxt = profile.counts[k] if k < profile.r else 0
+    seg = nxt - here  # segment slope, <= 0
+    x = (here - seg * k) / (slope - seg)
+    return CrossingPoint(r_star=x, c_star=slope * x)
 
 
 def h_index(profile: CitationProfile) -> int:
     """Largest rank whose work has at least that many citations."""
-    h = 0
-    for rank in range(1, profile.r + 1):
-        if profile.counts[rank - 1] >= rank:
-            h = rank
-        else:
-            break
-    return h
+    return first_vertex(profile, lambda rank, c: c < rank) - 1
 
 
 def g_index_parabola(profile: CitationProfile) -> int:
@@ -80,12 +73,7 @@ def g_index_parabola(profile: CitationProfile) -> int:
     This is the variant read off the crossing of the curve with the
     parabola c = r * r, so the result is always a perfect square.
     """
-    best = 0
-    for rank in range(1, profile.r + 1):
-        if profile.counts[rank - 1] >= rank * rank:
-            best = rank
-        else:
-            break
+    best = first_vertex(profile, lambda rank, c: c < rank * rank) - 1
     return best * best
 
 
@@ -115,7 +103,7 @@ def i_k(profile: CitationProfile, k: int) -> int:
     """Number of works with at least k citations."""
     if k < 1:
         raise DomainError(f"threshold must be at least 1, got {k!r}")
-    return sum(1 for value in profile.counts if value >= k)
+    return first_vertex(profile, lambda rank, c: c < k) - 1
 
 
 def c_k(profile: CitationProfile, k: int) -> int:
@@ -158,6 +146,7 @@ def compute_report(profile: CitationProfile) -> IndexReport:
     m: float | None = None
     if profile.r0 > 0 and profile.career_years is not None:
         m = m_index(profile)
+    k1, k2, k3 = kh1(profile), kh2(profile), kh3(profile)
     return IndexReport(
         author_id=profile.author_id,
         r0=profile.r0,
@@ -170,8 +159,8 @@ def compute_report(profile: CitationProfile) -> IndexReport:
         g=g_index_parabola(profile),
         m=m,
         i10=i_k(profile, 10),
-        kh1=kh1(profile),
-        kh2=kh2(profile),
-        kh3=kh3(profile),
-        kh=kh_max(profile),
+        kh1=k1,
+        kh2=k2,
+        kh3=k3,
+        kh=max(k1, k2, k3),
     )

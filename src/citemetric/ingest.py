@@ -21,7 +21,7 @@ from typing import IO, Sequence
 
 from .errors import ParseError, ValidationError
 from .indices import IndexReport
-from .profile import CitationProfile, build_profile
+from .profile import CitationProfile, build_profile, check_career_years, check_counts
 
 REPORT_COLUMNS = (
     "no", "r0", "r", "c_sigma", "c10", "c_max", "c_s",
@@ -58,8 +58,7 @@ class ScanResult:
 
 def round_half_up(value: float, decimals: int = 1) -> float:
     """Round ties away from zero, as table readers expect."""
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(format_real(value, decimals))
 
 
 def format_real(value: float | None, decimals: int = 1) -> str:
@@ -68,19 +67,6 @@ def format_real(value: float | None, decimals: int = 1) -> str:
         return "-"
     quantum = Decimal(1).scaleb(-decimals)
     return str(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
-def _validate_citations(values: object) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise ValidationError("citations must be an array of integers")
-    out: list[int] = []
-    for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"citations[{i}] is not an integer: {value!r}")
-        if value < 0:
-            raise ValidationError(f"citations[{i}] is negative: {value}")
-        out.append(value)
-    return tuple(out)
 
 
 def parse_profile_json(text: str) -> ProfileDocument:
@@ -96,15 +82,16 @@ def parse_profile_json(text: str) -> ProfileDocument:
         raise ValidationError("author_id is required and must be a non-empty string")
     if "citations" not in data:
         raise ValidationError("citations is required")
-    citations = _validate_citations(data["citations"])
+    citations = data["citations"]
+    if not isinstance(citations, list):
+        raise ValidationError("citations must be an array of integers")
+    check_counts(citations, "citations")
     career_years = data.get("career_years")
-    if career_years is not None:
-        if isinstance(career_years, bool) or not isinstance(career_years, int) or career_years < 1:
-            raise ValidationError(f"career_years must be a positive integer, got {career_years!r}")
+    check_career_years(career_years)
     source = data.get("source")
     if source is not None and not isinstance(source, str):
         raise ValidationError(f"source must be a string, got {source!r}")
-    return ProfileDocument(author_id, citations, career_years, source)
+    return ProfileDocument(author_id, tuple(citations), career_years, source)
 
 
 def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
@@ -145,7 +132,10 @@ def parse_profile(
         path = Path(source)
         if fmt is None:
             fmt = path.suffix.lstrip(".").lower()
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
         if author_id is None:
             author_id = path.stem
     else:
@@ -179,8 +169,8 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
 def scan_directory(path: str | Path) -> ScanResult:
     """Parse every *.json and *.csv profile in a directory.
 
-    Files that fail to parse are collected as failures instead of
-    aborting the batch.  Documents come back sorted by author id.
+    Files that fail to read or parse are collected as failures instead
+    of aborting the batch.  Documents come back sorted by author id.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -190,7 +180,7 @@ def scan_directory(path: str | Path) -> ScanResult:
     for file in sorted(directory.glob("*.json")) + sorted(directory.glob("*.csv")):
         try:
             documents.append(parse_profile(file))
-        except (ParseError, ValidationError) as exc:
+        except (ParseError, ValidationError, OSError) as exc:
             failures.append(ScanFailure(path=file, error=str(exc)))
     documents.sort(key=lambda doc: doc.author_id)
     return ScanResult(documents=tuple(documents), failures=tuple(failures))
@@ -234,6 +224,11 @@ def write_report_table(
     rows = [_report_cells(report, include_kh) for report in reports]
     if total is not None:
         rows.append(_report_cells(total, include_kh, label="total"))
+    return write_table(header, rows, fmt)
+
+
+def write_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
+    """Render a header and rows of text cells as CSV or markdown."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

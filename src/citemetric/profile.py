@@ -10,9 +10,11 @@ that arbitrarily steep rays from the origin still cross it.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, EmptyProfileError, ValidationError
 
@@ -60,6 +62,22 @@ class CrossingPoint:
     c_star: float
 
 
+def check_counts(values: Sequence[object], name: str) -> None:
+    """Reject any value that is not a non-negative integer, naming it as ``name[i]``."""
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name}[{i}] is not an integer: {value!r}")
+        if value < 0:
+            raise ValidationError(f"{name}[{i}] is negative: {value}")
+
+
+def check_career_years(career_years: object) -> None:
+    """Reject a career length that is present but not a positive integer."""
+    if career_years is not None:
+        if isinstance(career_years, bool) or not isinstance(career_years, int) or career_years < 1:
+            raise ValidationError(f"career_years must be a positive integer, got {career_years!r}")
+
+
 def build_profile(
     author_id: str,
     counts: Iterable[int],
@@ -67,16 +85,18 @@ def build_profile(
 ) -> CitationProfile:
     """Validate and sort raw per-work citation counts into a profile."""
     raw = list(counts)
-    for i, value in enumerate(raw):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"counts[{i}] is not an integer: {value!r}")
-        if value < 0:
-            raise ValidationError(f"counts[{i}] is negative: {value}")
-    if career_years is not None:
-        if isinstance(career_years, bool) or not isinstance(career_years, int) or career_years < 1:
-            raise ValidationError(f"career_years must be a positive integer, got {career_years!r}")
-    ordered = tuple(sorted(raw, reverse=True))  # stable among equal counts
-    r = sum(1 for value in ordered if value > 0)
+    check_counts(raw, "counts")
+    check_career_years(career_years)
+    return from_sorted(author_id, tuple(sorted(raw, reverse=True)), career_years)
+
+
+def from_sorted(
+    author_id: str,
+    ordered: tuple[int, ...],
+    career_years: int | None,
+) -> CitationProfile:
+    """Profile from counts already validated and sorted non-increasing; checks nothing."""
+    r = bisect.bisect_left(ordered, 0, key=operator.neg)  # zeros trail the cited works
     c_sigma = sum(ordered[:r])
     c_max = ordered[0] if r >= 1 else 0
     return CitationProfile(
@@ -88,4 +108,18 @@ def build_profile(
         c_sigma=c_sigma,
         c_max=c_max,
         c_s=c_sigma / r if r >= 1 else 0.0,
+    )
+
+
+def first_vertex(profile: CitationProfile, test: Callable[[int, int], bool]) -> int:
+    """Smallest rank j in [1, r + 1] whose curve vertex (j, C(j)) passes ``test``.
+
+    ``test(j, c)`` must fail on a prefix of the ranks and pass on the
+    rest, which the non-increasing curve gives to any condition of the
+    form "C(j) at or below a non-decreasing bound".  C(r + 1) = 0 closes
+    the curve; a test that fails there too yields r + 2.
+    """
+    counts, r = profile.counts, profile.r
+    return 1 + bisect.bisect_left(
+        range(1, r + 2), True, key=lambda j: test(j, counts[j - 1] if j <= r else 0)
     )

@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape, quoteattr
 from .collective import CollectiveProfile
 from .errors import EmptyProfileError
 from .indices import g_index_parabola, h_index, kh2, line_crossing
-from .profile import CitationProfile
+from .profile import CitationProfile, first_vertex
 
 MARKER_KINDS = ("h", "kh1", "kh2", "kh3", "g")
 
@@ -60,15 +60,11 @@ def _value_abscissa(profile: CitationProfile, value: float) -> float:
     """Smallest rank where the curve equals ``value``; needs 0 < value <= c_max."""
     if value >= profile.c_max:
         return 1.0
-    counts = profile.counts
-    for k in range(1, profile.r + 1):
-        here = counts[k - 1]
-        nxt = counts[k] if k < profile.r else 0
-        if nxt <= value <= here:
-            if here == nxt:  # flat segment sitting exactly at value
-                return float(k)
-            return k + (value - here) / (nxt - here)
-    raise AssertionError("unreachable: the curve spans (0, c_max]")
+    # C(k) > value >= C(k + 1), so the segment is never flat
+    k = first_vertex(profile, lambda j, c: c <= value) - 1
+    here = profile.counts[k - 1]
+    nxt = profile.counts[k] if k < profile.r else 0
+    return k + (value - here) / (nxt - here)
 
 
 def _profile_markers(profile: CitationProfile, include_g: bool) -> list[Marker]:
@@ -207,33 +203,19 @@ def render_svg(spec: PlotSpec) -> bytes:
         )
         tick += x_step
 
-    # y ticks
-    if spec.log_y:
-        decade = 1.0
-        while decade <= y_max + 1e-9:
-            py = sy(decade)
-            parts.append(
-                f'<line class="tick" x1="{_fmt(ml - 5)}" y1="{_fmt(py)}" '
-                f'x2="{_fmt(ml)}" y2="{_fmt(py)}" stroke="#000000" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(ml - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{decade:g}</text>'
-            )
-            decade *= 10.0
-    else:
-        level = 0.0
-        while level <= y_max + 1e-9:
-            py = sy(level)
-            parts.append(
-                f'<line class="tick" x1="{_fmt(ml - 5)}" y1="{_fmt(py)}" '
-                f'x2="{_fmt(ml)}" y2="{_fmt(py)}" stroke="#000000" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(ml - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{level:g}</text>'
-            )
-            level += y_step
+    # y ticks: decades on a log axis
+    level = 1.0 if spec.log_y else 0.0
+    while level <= y_max + 1e-9:
+        py = sy(level)
+        parts.append(
+            f'<line class="tick" x1="{_fmt(ml - 5)}" y1="{_fmt(py)}" '
+            f'x2="{_fmt(ml)}" y2="{_fmt(py)}" stroke="#000000" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{_fmt(ml - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{level:g}</text>'
+        )
+        level = level * 10.0 if spec.log_y else level + y_step
 
     # axis titles
     parts.append(

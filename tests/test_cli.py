@@ -102,6 +102,33 @@ def test_table_reports_bad_files_but_finishes(tmp_path, capsys):
     assert any(row.startswith("good,") for row in captured.out.splitlines())
 
 
+@pytest.mark.parametrize(
+    "make_bad",
+    [
+        pytest.param(lambda path: path.mkdir(), id="directory"),
+        pytest.param(lambda path: path.write_bytes(b'{"author_id": "\xe9", "citations": [1]}'), id="not-utf8"),
+    ],
+)
+def test_table_isolates_unreadable_entries(tmp_path, capsys, make_bad):
+    _write_json(tmp_path / "good.json", "good", [4])
+    make_bad(tmp_path / "x.json")
+    assert main(["table", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {tmp_path / 'x.json'}: ")
+    assert any(row.startswith("good,") for row in captured.out.splitlines())
+
+
+def test_compute_non_utf8_file_fails_with_diagnostic(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"author_id": "\xe9", "citations": [1]}')
+    assert main(["compute", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not UTF-8 text")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_table_empty_directory_fails(tmp_path, capsys):
     assert main(["table", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

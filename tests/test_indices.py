@@ -21,7 +21,9 @@ from citemetric import (
     m_index,
     synthesize_counts,
 )
-from oracles import check_crossing_against_grid
+from citemetric.profile import first_vertex
+from citemetric.render import _value_abscissa
+from oracles import brute_g_parabola, brute_h, brute_i_k, check_crossing_against_grid
 
 
 def test_crossing_mid_segment():
@@ -178,3 +180,27 @@ def test_report_collects_every_column():
 
 def test_report_m_absent_without_career_years():
     assert compute_report(build_profile("a", [5, 3])).m is None
+
+
+@pytest.mark.parametrize(
+    "counts, slope, segment, value, abscissa",
+    [
+        pytest.param([5], 1.0, 1, 2.5, 1.5, id="r=1"),
+        pytest.param([4, 4, 4, 4], 1.0, 3, 2.0, 4.5, id="all-equal"),
+        pytest.param([3, 3, 3], 0.5, 3, 1.5, 3.5, id="crossing-on-last-segment"),
+        pytest.param([5, 4, 4, 3], 4.0, 1, 4.0, 2.0, id="flat-segment-at-kh2"),
+        pytest.param([3, 1, 0, 0], 1.0, 1, 0.5, 2.5, id="zeros-after-r"),
+    ],
+)
+def test_locator_edge_cases(counts, slope, segment, value, abscissa):
+    """Every search on the curve goes through first_vertex; check each at the edges."""
+    p = build_profile("a", counts)
+    assert first_vertex(p, lambda j, c: c == 0) == p.r + 1
+    assert h_index(p) == brute_h(counts)
+    assert g_index_parabola(p) == brute_g_parabola(counts)
+    thresholds = range(1, p.c_max + 2)
+    assert [i_k(p, k) for k in thresholds] == [brute_i_k(counts, k) for k in thresholds]
+    crossing = line_crossing(p, slope)
+    assert segment < crossing.r_star <= segment + 1
+    check_crossing_against_grid(crossing, slope, counts)
+    assert _value_abscissa(p, value) == pytest.approx(abscissa, abs=1e-12)

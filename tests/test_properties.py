@@ -138,6 +138,14 @@ def test_merge_is_order_independent_and_flat(groups, rng):
     assert flat.merged.c_max == max(p.c_max for p in profiles)
 
 
+@settings(max_examples=40)
+@given(st.lists(counts_lists, min_size=1, max_size=5), author_ids)
+def test_merge_pools_like_building_from_the_concatenated_counts(groups, label):
+    profiles = [build_profile(f"m{i}", counts) for i, counts in enumerate(groups)]
+    pooled = [value for counts in groups for value in counts]
+    assert merge_profiles(profiles, label=label).merged == build_profile(label, pooled)
+
+
 @given(
     author_ids,
     counts_lists,
