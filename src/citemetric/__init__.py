@@ -6,7 +6,7 @@ c_k and the crossing-based kh family), pool authors into collectives,
 and export report tables and SVG charts.
 """
 
-from .collective import CollectiveProfile, collective_report, merge_profiles
+from .collective import collective_report, merge_profiles
 from .errors import (
     CitemetricError,
     DomainError,
@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .indices import (
-    IndexReport,
     c_k,
     compute_report,
     g_index_egghe,
@@ -32,8 +31,6 @@ from .indices import (
 )
 from .ingest import (
     ProfileDocument,
-    ScanFailure,
-    ScanResult,
     format_real,
     parse_profile,
     round_half_up,
@@ -41,37 +38,19 @@ from .ingest import (
     write_profile,
     write_report_table,
 )
-from .profile import CitationProfile, CrossingPoint, build_profile
-from .render import (
-    Curve,
-    GuideLine,
-    Marker,
-    PlotSpec,
-    build_plot_spec,
-    render_svg,
-    write_points_csv,
-)
+from .profile import build_profile
+from .render import build_plot_spec, render_svg, write_points_csv
 from .synth import synthesize_counts
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CitationProfile",
     "CitemetricError",
-    "CollectiveProfile",
-    "CrossingPoint",
-    "Curve",
     "DomainError",
     "EmptyProfileError",
-    "GuideLine",
-    "IndexReport",
-    "Marker",
     "MissingFieldError",
     "ParseError",
-    "PlotSpec",
     "ProfileDocument",
-    "ScanFailure",
-    "ScanResult",
     "ValidationError",
     "build_plot_spec",
     "build_profile",

@@ -21,20 +21,17 @@ from .collective import collective_report, merge_profiles
 from .errors import CitemetricError
 from .indices import IndexReport, compute_report
 from .ingest import (
+    REPORT_FIELDS,
     ProfileDocument,
     format_real,
     parse_profile,
+    report_cells,
     scan_directory,
     write_profile,
     write_report_table,
     write_table,
 )
 from .render import build_plot_spec, render_svg, write_points_csv
-
-_TEXT_FIELDS = (
-    "author_id", "r0", "r", "c_sigma", "c10", "c_max", "c_s",
-    "h", "g", "m", "i10", "kh1", "kh2", "kh3", "kh",
-)
 
 
 def _default_format(valid: tuple[str, ...], fallback: str) -> str:
@@ -62,27 +59,20 @@ def _emit_bytes(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _report_text(report: IndexReport) -> str:
-    lines = []
-    for field in _TEXT_FIELDS:
-        value = getattr(report, field)
-        if isinstance(value, float) or value is None:
-            value = format_real(value)
-        lines.append(f"{field}: {value}")
-    return "\n".join(lines) + "\n"
+def _report_output(report: IndexReport, args: argparse.Namespace) -> str:
+    if args.format == "text":
+        return "".join(f"{field}: {cell}\n" for field, cell in zip(REPORT_FIELDS, report_cells(report)))
+    return write_report_table([report], "csv", include_kh=args.include_kh)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     report = compute_report(_load_document(args.path).to_profile())
-    if args.format == "text":
-        _emit_text(_report_text(report), args.output)
-    else:
-        _emit_text(write_report_table([report], "csv", include_kh=args.include_kh), args.output)
+    _emit_text(_report_output(report, args), args.output)
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    result = scan_directory(args.directory)
+    result = scan_directory(args.directory, skip=args.output)
     for failure in result.failures:
         print(f"error: {failure.path}: {failure.error}", file=sys.stderr)
     if not result.documents:
@@ -109,15 +99,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
         citations=collective.merged.counts,
     )
     report = collective_report(collective)
-    if args.output:
-        Path(args.output).write_text(write_profile(document, "json"), encoding="utf-8")
-    else:
-        sys.stdout.write(write_profile(document, "json"))
-        sys.stdout.write("\n")
-    if args.format == "text":
-        sys.stdout.write(_report_text(report))
-    else:
-        sys.stdout.write(write_report_table([report], "csv", include_kh=args.include_kh))
+    text = write_profile(document, "json")
+    _emit_text(text if args.output else text + "\n", args.output)  # on stdout a blank line parts the two
+    _emit_text(_report_output(report, args), None)
     return 0
 
 
@@ -161,15 +145,8 @@ def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list
         ]
         for column, value in zip(columns, values):
             column.append(value)
-        cells = [doc.source or doc.author_id]
-        for value in values:
-            if value is None:
-                cells.append("-")
-            elif isinstance(value, float):
-                cells.append(format_real(value))
-            else:
-                cells.append(str(value))
-        rows.append(cells)
+        cells = [str(value) if isinstance(value, int) else format_real(value) for value in values]
+        rows.append([doc.source or doc.author_id, *cells])
     ratio = ["max/min"]
     for column in columns:
         if any(value is None for value in column) or min(column) <= 0:  # type: ignore[type-var]

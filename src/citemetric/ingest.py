@@ -21,11 +21,20 @@ from typing import IO, Sequence
 
 from .errors import ParseError, ValidationError
 from .indices import IndexReport
-from .profile import CitationProfile, build_profile, check_career_years, check_counts
+from .profile import (
+    MAX_COUNT,
+    CitationProfile,
+    build_profile,
+    check_career_years,
+    check_counts,
+    check_max_count,
+)
 
-REPORT_COLUMNS = (
-    "no", "r0", "r", "c_sigma", "c10", "c_max", "c_s",
-    "h", "g", "m", "i10", "kh1", "kh2", "kh3",
+# The IndexReport fields in report order; tables head the id column "no"
+# and carry kh only on request.
+REPORT_FIELDS = (
+    "author_id", "r0", "r", "c_sigma", "c10", "c_max", "c_s",
+    "h", "g", "m", "i10", "kh1", "kh2", "kh3", "kh",
 )
 
 
@@ -75,6 +84,10 @@ def parse_profile_json(text: str) -> ProfileDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # the interpreter's limit on integer digits
+        raise ParseError("invalid JSON: a number has too many digits") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("profile document must be a JSON object")
     author_id = data.get("author_id")
@@ -86,6 +99,7 @@ def parse_profile_json(text: str) -> ProfileDocument:
     if not isinstance(citations, list):
         raise ValidationError("citations must be an array of integers")
     check_counts(citations, "citations")
+    check_max_count(citations, max(citations, default=0), "citations")
     career_years = data.get("career_years")
     check_career_years(career_years)
     source = data.get("source")
@@ -113,6 +127,8 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
             raise ParseError(f"line {lineno}: not an integer: {cell!r}") from None
         if value < 0:
             raise ValidationError(f"line {lineno}: citations must be non-negative, got {value}")
+        if value > MAX_COUNT:
+            raise ValidationError(f"line {lineno}: citations must be at most 2**53")
         values.append(value)
     return ProfileDocument(author_id, tuple(values))
 
@@ -166,18 +182,25 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
     raise ValidationError(f"unknown profile format: {fmt!r}")
 
 
-def scan_directory(path: str | Path) -> ScanResult:
+def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanResult:
     """Parse every *.json and *.csv profile in a directory.
 
     Files that fail to read or parse are collected as failures instead
     of aborting the batch.  Documents come back sorted by author id.
+    ``skip`` is a path left out of the scan, such as the table written
+    from it, which the next scan would otherwise read as a profile.
     """
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"not a directory: {directory}")
+    skip_name = None
+    if skip is not None and Path(skip).parent.resolve() == directory.resolve():
+        skip_name = Path(skip).name
     documents: list[ProfileDocument] = []
     failures: list[ScanFailure] = []
     for file in sorted(directory.glob("*.json")) + sorted(directory.glob("*.csv")):
+        if file.name == skip_name:
+            continue
         try:
             documents.append(parse_profile(file))
         except (ParseError, ValidationError, OSError) as exc:
@@ -186,9 +209,10 @@ def scan_directory(path: str | Path) -> ScanResult:
     return ScanResult(documents=tuple(documents), failures=tuple(failures))
 
 
-def _report_cells(report: IndexReport, include_kh: bool, label: str | None = None) -> list[str]:
-    cells = [
-        label if label is not None else report.author_id,
+def report_cells(report: IndexReport) -> list[str]:
+    """Every report field as display text, in ``REPORT_FIELDS`` order."""
+    return [
+        report.author_id,
         str(report.r0),
         str(report.r),
         str(report.c_sigma),
@@ -202,10 +226,8 @@ def _report_cells(report: IndexReport, include_kh: bool, label: str | None = Non
         format_real(report.kh1),
         format_real(report.kh2),
         format_real(report.kh3),
+        format_real(report.kh),
     ]
-    if include_kh:
-        cells.append(format_real(report.kh))
-    return cells
 
 
 def write_report_table(
@@ -220,11 +242,11 @@ def write_report_table(
     ``total`` appends one extra row, labelled 'total', for a collective
     built from the listed profiles.
     """
-    header = list(REPORT_COLUMNS) + (["kh"] if include_kh else [])
-    rows = [_report_cells(report, include_kh) for report in reports]
+    width = len(REPORT_FIELDS) if include_kh else len(REPORT_FIELDS) - 1
+    rows = [report_cells(report)[:width] for report in reports]
     if total is not None:
-        rows.append(_report_cells(total, include_kh, label="total"))
-    return write_table(header, rows, fmt)
+        rows.append(["total", *report_cells(total)[1:width]])
+    return write_table(["no", *REPORT_FIELDS[1:width]], rows, fmt)
 
 
 def write_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:

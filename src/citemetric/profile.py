@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, EmptyProfileError, ValidationError
 
+MAX_COUNT = 2**53  # the largest integer a float holds exactly; c_s and the crossings stay finite
+
 
 @dataclass(frozen=True)
 class CitationProfile:
@@ -71,6 +73,17 @@ def check_counts(values: Sequence[object], name: str) -> None:
             raise ValidationError(f"{name}[{i}] is negative: {value}")
 
 
+def check_max_count(values: Sequence[int], top: int, name: str) -> None:
+    """Reject ``values``, whose largest is ``top``, when a count exceeds MAX_COUNT.
+
+    The first such count is named as ``name[i]``; its value stays out of
+    the message, as str() of an int of more than 4,300 digits raises.
+    """
+    if top > MAX_COUNT:
+        i = next(i for i, value in enumerate(values) if value > MAX_COUNT)
+        raise ValidationError(f"{name}[{i}] is above the largest supported count, 2**53")
+
+
 def check_career_years(career_years: object) -> None:
     """Reject a career length that is present but not a positive integer."""
     if career_years is not None:
@@ -87,7 +100,9 @@ def build_profile(
     raw = list(counts)
     check_counts(raw, "counts")
     check_career_years(career_years)
-    return from_sorted(author_id, tuple(sorted(raw, reverse=True)), career_years)
+    ordered = tuple(sorted(raw, reverse=True))
+    check_max_count(raw, ordered[0] if ordered else 0, "counts")
+    return from_sorted(author_id, ordered, career_years)
 
 
 def from_sorted(

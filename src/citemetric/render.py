@@ -8,8 +8,6 @@ spec always yields byte-identical SVG.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Collection, Sequence
@@ -18,6 +16,7 @@ from xml.sax.saxutils import escape, quoteattr
 from .collective import CollectiveProfile
 from .errors import EmptyProfileError
 from .indices import g_index_parabola, h_index, kh2, line_crossing
+from .ingest import write_table
 from .profile import CitationProfile, first_vertex
 
 MARKER_KINDS = ("h", "kh1", "kh2", "kh3", "g")
@@ -285,16 +284,14 @@ def write_points_csv(spec: PlotSpec) -> str:
     """Flatten a plot spec to rows of label,kind,r,c."""
     x_data = max(x for curve in spec.curves for x, _ in curve.vertices)
     y_data = max(c for curve in spec.curves for _, c in curve.vertices)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["label", "kind", "r", "c"])
+    rows = []
     for curve in spec.curves:
         for x, c in curve.vertices:
-            writer.writerow([curve.label, "curve", f"{x:.10g}", f"{c:.10g}"])
+            rows.append([curve.label, "curve", f"{x:.10g}", f"{c:.10g}"])
     for marker in spec.markers:
-        writer.writerow([marker.label, marker.kind, f"{marker.point[0]:.10g}", f"{marker.point[1]:.10g}"])
+        rows.append([marker.label, marker.kind, f"{marker.point[0]:.10g}", f"{marker.point[1]:.10g}"])
     for guide in spec.guide_lines:
         x_end = min(x_data, y_data / guide.slope)
-        writer.writerow([guide.label, "guide", "0", "0"])
-        writer.writerow([guide.label, "guide", f"{x_end:.10g}", f"{guide.slope * x_end:.10g}"])
-    return buffer.getvalue()
+        rows.append([guide.label, "guide", "0", "0"])
+        rows.append([guide.label, "guide", f"{x_end:.10g}", f"{guide.slope * x_end:.10g}"])
+    return write_table(["label", "kind", "r", "c"], rows, "csv")

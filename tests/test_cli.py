@@ -263,3 +263,98 @@ def test_output_files_via_dash_o(tmp_path):
     out_path = tmp_path / "report.csv"
     assert main(["compute", a, "--format", "csv", "-o", str(out_path)]) == 0
     assert out_path.read_text(encoding="utf-8").startswith("no,r0,")
+
+
+def test_compute_text_output_golden(tmp_path, capsys):
+    path = _write_json(tmp_path / "a.json", "a", [7, 1, 0], career_years=7)
+    assert main(["compute", path]) == 0
+    assert capsys.readouterr().out == (
+        "author_id: a\nr0: 3\nr: 2\nc_sigma: 8\nc10: 8\nc_max: 7\nc_s: 4.0\nh: 1\ng: 1\n"
+        "m: 0.1\ni10: 0\nkh1: 5.2\nkh2: 2.8\nkh3: 4.2\nkh: 5.2\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fmt, report",
+    [
+        pytest.param(
+            "text",
+            "author_id: ab\nr0: 6\nr: 5\nc_sigma: 18\nc10: 18\nc_max: 7\nc_s: 3.6\nh: 3\ng: 4\n"
+            "m: -\ni10: 0\nkh1: 5.5\nkh2: 4.2\nkh3: 5.9\nkh: 5.9\n",
+            id="text",
+        ),
+        pytest.param(
+            "csv",
+            "no,r0,r,c_sigma,c10,c_max,c_s,h,g,m,i10,kh1,kh2,kh3\nab,6,5,18,18,7,3.6,3,4,-,0,5.5,4.2,5.9\n",
+            id="csv",
+        ),
+    ],
+)
+def test_merge_stdout_layout_golden(tmp_path, capsys, fmt, report):
+    a = _write_json(tmp_path / "a.json", "a", [7, 1, 0], career_years=7)
+    b = _write_json(tmp_path / "b.json", "b", [4, 4, 2])
+    assert main(["merge", a, b, "--label", "ab", "--format", fmt]) == 0
+    assert capsys.readouterr().out == '{"author_id": "ab", "citations": [7, 4, 4, 2, 1, 0]}\n\n' + report
+
+
+_UNUSABLE_INPUTS = [
+    pytest.param("x.json", "[" * 100_000, "invalid JSON: nested too deeply", id="deep-nesting"),
+    pytest.param(
+        "x.json",
+        '{"author_id": "x", "citations": [' + "9" * 5000 + "]}",
+        "invalid JSON: a number has too many digits",
+        id="long-literal",
+    ),
+    pytest.param(
+        "x.json",
+        '{"author_id": "x", "citations": [3, 1' + "0" * 400 + "]}",
+        "citations[1] is above the largest supported count",
+        id="count-over-bound-json",
+    ),
+    pytest.param(
+        "x.csv",
+        "citations\n3\n1" + "0" * 400 + "\n",
+        "line 3: citations must be at most 2**53",
+        id="count-over-bound-csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, text, message", _UNUSABLE_INPUTS)
+def test_compute_rejects_unusable_input_with_one_diagnostic(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, text, message", _UNUSABLE_INPUTS)
+def test_table_keeps_good_rows_past_unusable_input(tmp_path, capsys, name, text, message):
+    _write_json(tmp_path / "good.json", "good", [4])
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(["table", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {tmp_path / name}: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert any(row.startswith("good,") for row in captured.out.splitlines())
+
+
+def test_compute_accepts_the_largest_supported_count(tmp_path, capsys):
+    path = _write_json(tmp_path / "top.json", "top", [2**53, 0])
+    assert main(["compute", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"top,2,1,{2**53},{2**53},{2**53},")
+
+
+def test_table_written_into_its_own_directory_is_not_read_back(tmp_path):
+    _write_json(tmp_path / "a.json", "a", [5, 1])
+    _write_json(tmp_path / "b.json", "b", [3, 3])
+    out_path = tmp_path / "report.csv"
+    outputs = []
+    for _ in range(2):
+        assert main(["table", str(tmp_path), "-o", str(out_path)]) == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert [row.split(",")[0] for row in outputs[0].decode().splitlines()] == ["no", "a", "b"]

@@ -89,3 +89,9 @@ def test_rebuilding_from_sorted_counts_changes_nothing():
     p = build_profile("a", [5, 9, 0, 3])
     q = build_profile("a", p.counts)
     assert q == p
+
+
+def test_counts_above_two_to_the_53_rejected_naming_the_index():
+    assert build_profile("a", [2**53, 1]).c_max == 2**53
+    with pytest.raises(ValidationError, match=r"^counts\[1\] is above the largest supported count"):
+        build_profile("a", [3, 10**5000, 2**53 + 1])

@@ -1,9 +1,13 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citemetric import (
+    CitemetricError,
     ProfileDocument,
     build_plot_spec,
     build_profile,
@@ -18,6 +22,7 @@ from citemetric import (
     kh_max,
     line_crossing,
     merge_profiles,
+    parse_profile,
     render_svg,
     write_profile,
     write_report_table,
@@ -184,3 +189,42 @@ def test_markers_sit_on_their_curves(groups):
         profile = profiles[marker.label]
         x = min(marker.point[0], float(profile.r + 1))
         assert abs(profile.citation_at(x) - marker.point[1]) <= 1e-9 * max(1, profile.c_max)
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.sampled_from(["author_id", "citations", "career_years", "source"]) | st.text(), children),
+)
+
+
+@settings(max_examples=60)
+@given(st.binary(max_size=200))
+def test_any_file_bytes_parse_or_raise_a_library_error(data):
+    with tempfile.TemporaryDirectory() as directory:
+        for name in ("x.json", "x.csv"):
+            path = Path(directory) / name
+            path.write_bytes(data)
+            try:
+                parse_profile(path)
+            except CitemetricError:
+                pass
+
+
+@given(json_trees)
+def test_any_json_tree_parses_or_raises_a_library_error(tree):
+    try:
+        parse_profile_json(json.dumps(tree))
+    except CitemetricError:
+        pass
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**53), max_size=40),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=80)),
+)
+def test_reports_of_counts_up_to_the_bound_are_finite(counts, years):
+    report = compute_report(build_profile("a", counts, years))
+    reals = [report.c_s, report.kh1, report.kh2, report.kh3, report.kh]
+    assert all(math.isfinite(value) for value in reals)
+    assert report.m is None or math.isfinite(report.m)
