@@ -27,7 +27,6 @@ from .profile import (
     build_profile,
     check_career_years,
     check_counts,
-    check_max_count,
 )
 
 # The IndexReport fields in report order; tables head the id column "no"
@@ -78,6 +77,16 @@ def format_real(value: float | None, decimals: int = 1) -> str:
     return str(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
+def _check_encodable(text: str, name: str) -> None:
+    """Reject text that UTF-8 cannot encode: a lone surrogate, as from a JSON "\\ud800"."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"{name} has a lone surrogate at position {exc.start}, which UTF-8 cannot encode"
+        ) from None
+
+
 def parse_profile_json(text: str) -> ProfileDocument:
     """Parse one JSON profile document."""
     try:
@@ -99,12 +108,14 @@ def parse_profile_json(text: str) -> ProfileDocument:
     if not isinstance(citations, list):
         raise ValidationError("citations must be an array of integers")
     check_counts(citations, "citations")
-    check_max_count(citations, max(citations, default=0), "citations")
     career_years = data.get("career_years")
     check_career_years(career_years)
     source = data.get("source")
     if source is not None and not isinstance(source, str):
         raise ValidationError(f"source must be a string, got {source!r}")
+    _check_encodable(author_id, "author_id")
+    if source is not None:
+        _check_encodable(source, "source")
     return ProfileDocument(author_id, tuple(citations), career_years, source)
 
 
@@ -116,7 +127,16 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
     if not lines or lines[0].strip() != "citations":
         found = lines[0].strip() if lines else ""
         raise ParseError(f"line 1: expected header 'citations', found {found!r}")
-    values: list[int] = []
+    # int() strips the same whitespace as str.strip(), so a file this accepts
+    # yields the counts the line loop below would; the loop names what fails.
+    try:
+        values = list(map(int, lines[1:]))
+    except ValueError:
+        pass
+    else:
+        if min(values, default=0) >= 0 and max(values, default=0) <= MAX_COUNT:
+            return ProfileDocument(author_id, tuple(values))
+    values = []
     for lineno, line in enumerate(lines[1:], start=2):
         cell = line.strip()
         if not cell:
@@ -124,6 +144,11 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
         try:
             value = int(cell)
         except ValueError:
+            digits = cell[1:] if cell[0] in "+-" else cell
+            if digits.isdecimal():  # only the interpreter's limit on integer digits rejects it
+                if cell[0] == "-":
+                    raise ValidationError(f"line {lineno}: citations must be non-negative") from None
+                raise ValidationError(f"line {lineno}: citations must be at most 2**53") from None
             raise ParseError(f"line {lineno}: not an integer: {cell!r}") from None
         if value < 0:
             raise ValidationError(f"line {lineno}: citations must be non-negative, got {value}")

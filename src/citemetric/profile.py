@@ -65,23 +65,27 @@ class CrossingPoint:
 
 
 def check_counts(values: Sequence[object], name: str) -> None:
-    """Reject any value that is not a non-negative integer, naming it as ``name[i]``."""
+    """Reject any value that is not an integer in [0, MAX_COUNT], naming it as ``name[i]``.
+
+    Type and sign errors take precedence over the bound.  A count above
+    the bound stays out of the message, as str() of an int of more than
+    4,300 digits raises.
+    """
+    if (
+        set(map(type, values)) <= {int}
+        and min(values, default=0) >= 0
+        and max(values, default=0) <= MAX_COUNT
+    ):
+        return
+    # Some value fails, or is an int subclass: find the first offender to name it.
     for i, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(f"{name}[{i}] is not an integer: {value!r}")
         if value < 0:
             raise ValidationError(f"{name}[{i}] is negative: {value}")
-
-
-def check_max_count(values: Sequence[int], top: int, name: str) -> None:
-    """Reject ``values``, whose largest is ``top``, when a count exceeds MAX_COUNT.
-
-    The first such count is named as ``name[i]``; its value stays out of
-    the message, as str() of an int of more than 4,300 digits raises.
-    """
-    if top > MAX_COUNT:
-        i = next(i for i, value in enumerate(values) if value > MAX_COUNT)
-        raise ValidationError(f"{name}[{i}] is above the largest supported count, 2**53")
+    for i, value in enumerate(values):
+        if value > MAX_COUNT:
+            raise ValidationError(f"{name}[{i}] is above the largest supported count, 2**53")
 
 
 def check_career_years(career_years: object) -> None:
@@ -100,9 +104,7 @@ def build_profile(
     raw = list(counts)
     check_counts(raw, "counts")
     check_career_years(career_years)
-    ordered = tuple(sorted(raw, reverse=True))
-    check_max_count(raw, ordered[0] if ordered else 0, "counts")
-    return from_sorted(author_id, ordered, career_years)
+    return from_sorted(author_id, tuple(sorted(raw, reverse=True)), career_years)
 
 
 def from_sorted(

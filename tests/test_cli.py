@@ -317,6 +317,30 @@ _UNUSABLE_INPUTS = [
         "line 3: citations must be at most 2**53",
         id="count-over-bound-csv",
     ),
+    pytest.param(
+        "x.csv",
+        "citations\n3\n+1" + "0" * 5000 + "\n",
+        "line 3: citations must be at most 2**53\n",
+        id="over-long-csv-cell",
+    ),
+    pytest.param(
+        "x.csv",
+        "citations\n3\n-1" + "0" * 5000 + "\n",
+        "line 3: citations must be non-negative\n",
+        id="over-long-negative-csv-cell",
+    ),
+    pytest.param(
+        "x.json",
+        '{"author_id": "a\\ud800", "citations": [1]}',
+        "author_id has a lone surrogate at position 1",
+        id="surrogate-author-id",
+    ),
+    pytest.param(
+        "x.json",
+        '{"author_id": "x", "citations": [1], "source": "\\udfff"}',
+        "source has a lone surrogate at position 0",
+        id="surrogate-source",
+    ),
 ]
 
 

@@ -27,8 +27,10 @@ from citemetric import (
     write_profile,
     write_report_table,
 )
+from citemetric.errors import ParseError, ValidationError
 from citemetric.ingest import parse_profile_csv, parse_profile_json
 from citemetric.indices import compute_report
+from citemetric.profile import MAX_COUNT, check_counts
 from oracles import (
     brute_c_k,
     brute_g_egghe,
@@ -228,3 +230,91 @@ def test_reports_of_counts_up_to_the_bound_are_finite(counts, years):
     reals = [report.c_s, report.kh1, report.kh2, report.kh3, report.kh]
     assert all(math.isfinite(value) for value in reals)
     assert report.m is None or math.isfinite(report.m)
+
+
+class _Count(int):
+    """An int subclass, which the per-element check accepts as an integer."""
+
+
+def _reference_check_counts(values, name):
+    """Reference: a per-element loop over type and sign, then the bound."""
+    for i, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{name}[{i}] is not an integer: {value!r}")
+        if value < 0:
+            raise ValidationError(f"{name}[{i}] is negative: {value}")
+    if max(values, default=0) > MAX_COUNT:
+        i = next(i for i, value in enumerate(values) if value > MAX_COUNT)
+        raise ValidationError(f"{name}[{i}] is above the largest supported count, 2**53")
+
+
+def _outcome(check, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+exact_ints = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=MAX_COUNT - 2, max_value=MAX_COUNT + 2),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+count_like = st.one_of(
+    exact_ints,
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.integers(min_value=-2, max_value=MAX_COUNT + 2).map(_Count),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(exact_ints, max_size=30) | st.lists(count_like, max_size=30))
+def test_check_counts_matches_the_per_element_loop(values):
+    assert _outcome(check_counts, values, "counts") == _outcome(_reference_check_counts, values, "counts")
+
+
+def _reference_parse_csv_counts(lines):
+    """The line loop of parse_profile_csv, run on every body line."""
+    values = []
+    for lineno, line in enumerate(lines, start=2):
+        cell = line.strip()
+        if not cell:
+            continue
+        try:
+            value = int(cell)
+        except ValueError:
+            digits = cell[1:] if cell[0] in "+-" else cell
+            if digits.isdecimal():
+                if cell[0] == "-":
+                    raise ValidationError(f"line {lineno}: citations must be non-negative") from None
+                raise ValidationError(f"line {lineno}: citations must be at most 2**53") from None
+            raise ParseError(f"line {lineno}: not an integer: {cell!r}") from None
+        if value < 0:
+            raise ValidationError(f"line {lineno}: citations must be non-negative, got {value}")
+        if value > MAX_COUNT:
+            raise ValidationError(f"line {lineno}: citations must be at most 2**53")
+        values.append(value)
+    return ProfileDocument("a", tuple(values))
+
+
+csv_cells = st.one_of(
+    st.integers(min_value=-2, max_value=2).map(str),
+    st.integers(min_value=0, max_value=500).map(str),
+    st.sampled_from(["", "  ", "+5", "1_000", "1,000", "-3", "-0", "7.0", "x", "\u0663"]),
+    st.sampled_from([str(MAX_COUNT), str(MAX_COUNT + 1), "1" + "0" * 5000, "+1" + "0" * 5000, "-1" + "0" * 5000]),
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+)
+padded_cells = st.tuples(st.sampled_from(["", " ", "\t", " \u3000"]), csv_cells, st.sampled_from(["", " ", "\t\f"]))
+
+
+@settings(max_examples=300)
+@given(st.lists(padded_cells.map("".join), max_size=20), st.booleans())
+def test_parse_csv_matches_the_line_loop(lines, trailing_newline):
+    text = "citations\n" + "\n".join(lines) + ("\n" if trailing_newline else "")
+    expected = _outcome(_reference_parse_csv_counts, text.splitlines()[1:])
+    assert _outcome(parse_profile_csv, text, "a") == expected
