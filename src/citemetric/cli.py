@@ -34,9 +34,9 @@ from .ingest import (
 from .render import build_plot_spec, render_svg, write_points_csv
 
 
-def _default_format(valid: tuple[str, ...], fallback: str) -> str:
+def _default_format(valid: tuple[str, ...]) -> str:
     env = os.environ.get("CITEMETRIC_FORMAT", "").strip().lower()
-    return env if env in valid else fallback
+    return env if env in valid else valid[0]
 
 
 def _load_document(path: str) -> ProfileDocument:
@@ -173,14 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="indices for one profile file")
     p.add_argument("path", help="profile file, or - for JSON on stdin")
-    p.add_argument("--format", choices=("text", "csv"), default=_default_format(("text", "csv"), "text"))
+    p.add_argument("--format", choices=("text", "csv"), default=_default_format(("text", "csv")))
     p.add_argument("--include-kh", action="store_true", help="append the kh column to CSV output")
     p.add_argument("-o", "--output", help="write to this file instead of stdout")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="report table for a directory of profiles")
     p.add_argument("directory")
-    p.add_argument("--format", choices=("csv", "md"), default=_default_format(("csv", "md"), "csv"))
+    p.add_argument("--format", choices=("csv", "md"), default=_default_format(("csv", "md")))
     p.add_argument("--with-total", action="store_true", help="append the pooled row")
     p.add_argument("--include-kh", action="store_true")
     p.add_argument("-o", "--output")
@@ -189,14 +189,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="pool profiles into one collective")
     p.add_argument("paths", nargs="+")
     p.add_argument("--label", help="author id for the merged profile")
-    p.add_argument("--format", choices=("text", "csv"), default=_default_format(("text", "csv"), "text"))
+    p.add_argument("--format", choices=("text", "csv"), default=_default_format(("text", "csv")))
     p.add_argument("--include-kh", action="store_true")
     p.add_argument("-o", "--output", help="write the merged document here; report goes to stdout")
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("plot", help="render profiles as SVG or a point-series CSV")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--format", choices=("svg", "csv"), default=_default_format(("svg", "csv"), "svg"))
+    p.add_argument("--format", choices=("svg", "csv"), default=_default_format(("svg", "csv")))
     p.add_argument("--log-y", action="store_true", dest="log_y")
     p.add_argument("--guides", action="store_true", help="draw the unit, mean and sqrt-total rays")
     p.add_argument("--with-merged", action="store_true", help="overlay the pooled curve, dashed")
@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="one author across reporting sources")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--format", choices=("csv", "md"), default=_default_format(("csv", "md"), "csv"))
+    p.add_argument("--format", choices=("csv", "md"), default=_default_format(("csv", "md")))
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compare)
 

@@ -55,11 +55,26 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     # The first vertex on or below the ray closes the crossing segment (k, k + 1].
     # Rank 1 lies above the ray (slope < c_max) even where float(c_max) rounds onto it.
     k = first_vertex(profile, lambda j, c: j > 1 and c - slope * j <= 0.0) - 1
-    here = profile.counts[k - 1]
-    nxt = profile.counts[k] if k < profile.r else 0
+    here = profile.vertex(k)
+    nxt = profile.vertex(k + 1)
     seg = nxt - here  # segment slope, <= 0
     x = (here - seg * k) / (slope - seg)
     return CrossingPoint(r_star=x, c_star=slope * x)
+
+
+def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
+    """Smallest rank where the citation curve comes down to the level c = value > 0.
+
+    The profile needs cited works.  A level at or above c_max is met at
+    the top work, (1, c_max), as ``line_crossing`` clamps a steep ray.
+    """
+    if value >= profile.c_max:
+        return CrossingPoint(r_star=1.0, c_star=float(profile.c_max))
+    # C(k) > value >= C(k + 1), so the segment is never flat
+    k = first_vertex(profile, lambda j, c: c <= value) - 1
+    here = profile.vertex(k)
+    nxt = profile.vertex(k + 1)
+    return CrossingPoint(r_star=k + (value - here) / (nxt - here), c_star=value)
 
 
 def h_index(profile: CitationProfile) -> int:

@@ -127,20 +127,23 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
     if not lines or lines[0].strip() != "citations":
         found = lines[0].strip() if lines else ""
         raise ParseError(f"line 1: expected header 'citations', found {found!r}")
-    # int() strips the same whitespace as str.strip(), so a file this accepts
-    # yields the counts the line loop below would; the loop names what fails.
-    try:
-        values = list(map(int, lines[1:]))
-    except ValueError:
-        pass
-    else:
-        if min(values, default=0) >= 0 and max(values, default=0) <= MAX_COUNT:
-            return ProfileDocument(author_id, tuple(values))
+    # On ASCII text without "_", int() reads each cell as the line loop below does
+    # (it strips the same whitespace as str.strip()); the loop names what fails.
+    if text.isascii() and "_" not in text:
+        try:
+            values = list(map(int, lines[1:]))
+        except ValueError:
+            pass
+        else:
+            if min(values, default=0) >= 0 and max(values, default=0) <= MAX_COUNT:
+                return ProfileDocument(author_id, tuple(values))
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         cell = line.strip()
         if not cell:
             continue  # tolerate blank lines, typically a trailing newline
+        if not cell.isascii() or "_" in cell:
+            raise ParseError(f"line {lineno}: not an integer: {cell!r}")
         try:
             value = int(cell)
         except ValueError:

@@ -49,11 +49,13 @@ class CitationProfile:
         if x < 1:
             return float(self.c_max)
         k = math.floor(x)
-        if k >= self.r + 1:  # x == r + 1 exactly
-            return 0.0
-        here = self.counts[k - 1]
-        nxt = self.counts[k] if k < self.r else 0
+        here = self.vertex(k)
+        nxt = self.vertex(k + 1)
         return here + (nxt - here) * (x - k)
+
+    def vertex(self, j: int) -> int:
+        """C(j) at an integer rank j >= 1: the j-th count, and 0 from r + 1 on, where the curve closes."""
+        return self.counts[j - 1] if j <= self.r else 0
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,7 @@ def first_vertex(profile: CitationProfile, test: Callable[[int, int], bool]) -> 
 
     ``test(j, c)`` must fail on a prefix of the ranks and pass on the
     rest, which the non-increasing curve gives to any condition of the
-    form "C(j) at or below a non-decreasing bound".  C(r + 1) = 0 closes
-    the curve; a test that fails there too yields r + 2.
+    form "C(j) at or below a non-decreasing bound".  A test that fails
+    at the closing vertex (r + 1, 0) too yields r + 2.
     """
-    counts, r = profile.counts, profile.r
-    return 1 + bisect.bisect_left(
-        range(1, r + 2), True, key=lambda j: test(j, counts[j - 1] if j <= r else 0)
-    )
+    return 1 + bisect.bisect_left(range(1, profile.r + 2), True, key=lambda j: test(j, profile.vertex(j)))

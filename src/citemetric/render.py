@@ -15,11 +15,9 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .collective import CollectiveProfile
 from .errors import EmptyProfileError
-from .indices import g_index_parabola, h_index, kh2, line_crossing
+from .indices import g_index_parabola, h_index, kh2, level_crossing, line_crossing
 from .ingest import write_table
-from .profile import CitationProfile, first_vertex
-
-MARKER_KINDS = ("h", "kh1", "kh2", "kh3", "g")
+from .profile import CitationProfile
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -37,7 +35,7 @@ class Curve:
 @dataclass(frozen=True)
 class Marker:
     label: str
-    kind: str  # one of MARKER_KINDS
+    kind: str  # h, kh1, kh2, kh3 or g
     point: tuple[float, float]
 
 
@@ -55,34 +53,19 @@ class PlotSpec:
     log_y: bool = False
 
 
-def _value_abscissa(profile: CitationProfile, value: float) -> float:
-    """Smallest rank where the curve equals ``value``; needs 0 < value <= c_max."""
-    if value >= profile.c_max:
-        return 1.0
-    # C(k) > value >= C(k + 1), so the segment is never flat
-    k = first_vertex(profile, lambda j, c: c <= value) - 1
-    here = profile.counts[k - 1]
-    nxt = profile.counts[k] if k < profile.r else 0
-    return k + (value - here) / (nxt - here)
-
-
 def _profile_markers(profile: CitationProfile, include_g: bool) -> list[Marker]:
     label = profile.author_id
-    markers = []
     h = h_index(profile)
-    markers.append(Marker(label, "h", (float(h), float(profile.counts[h - 1]))))
-    mean = line_crossing(profile, profile.c_s)
-    markers.append(Marker(label, "kh1", (mean.r_star, mean.c_star)))
-    root = kh2(profile)
-    if root > profile.c_max:  # curve never reaches kh2; pin the marker at the top work
-        markers.append(Marker(label, "kh2", (1.0, float(profile.c_max))))
-    else:
-        markers.append(Marker(label, "kh2", (_value_abscissa(profile, root), root)))
-    steep = line_crossing(profile, math.sqrt(profile.c_sigma))
-    markers.append(Marker(label, "kh3", (steep.r_star, steep.c_star)))
+    markers = [Marker(label, "h", (float(h), float(profile.vertex(h))))]
+    for kind, point in (
+        ("kh1", line_crossing(profile, profile.c_s)),
+        ("kh2", level_crossing(profile, kh2(profile))),  # pinned at (1, c_max) when kh2 > c_max
+        ("kh3", line_crossing(profile, math.sqrt(profile.c_sigma))),
+    ):
+        markers.append(Marker(label, kind, (point.r_star, point.c_star)))
     if include_g:
         rank = math.isqrt(g_index_parabola(profile))
-        markers.append(Marker(label, "g", (float(rank), float(profile.counts[rank - 1]))))
+        markers.append(Marker(label, "g", (float(rank), float(profile.vertex(rank)))))
     return markers
 
 
@@ -108,9 +91,8 @@ def build_plot_spec(
     markers: list[Marker] = []
     guide_lines: list[GuideLine] = []
     for profile in profiles:
-        vertices = tuple(
-            (float(rank), float(profile.counts[rank - 1])) for rank in range(1, profile.r + 1)
-        ) + ((float(profile.r + 1), 0.0),)
+        # a list comprehension, as tuple() of a generator is slower on long curves
+        vertices = tuple([(float(rank), float(profile.vertex(rank))) for rank in range(1, profile.r + 2)])
         curves.append(Curve(profile.author_id, vertices, dashed=profile.author_id in dashed))
         markers.extend(_profile_markers(profile, include_g))
         if guides:

@@ -341,6 +341,10 @@ _UNUSABLE_INPUTS = [
         "source has a lone surrogate at position 0",
         id="surrogate-source",
     ),
+    pytest.param("x.csv", "citations\n3\n1_000\n", "line 3: not an integer: '1_000'\n", id="underscore-csv-cell"),
+    pytest.param(
+        "x.csv", "citations\n\u0663\n", "line 2: not an integer: '\u0663'\n", id="non-ascii-digit-csv-cell"
+    ),
 ]
 
 

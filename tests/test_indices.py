@@ -21,8 +21,8 @@ from citemetric import (
     m_index,
     synthesize_counts,
 )
+from citemetric.indices import level_crossing
 from citemetric.profile import first_vertex
-from citemetric.render import _value_abscissa
 from oracles import brute_g_parabola, brute_h, brute_i_k, check_crossing_against_grid
 
 
@@ -183,16 +183,18 @@ def test_report_m_absent_without_career_years():
 
 
 @pytest.mark.parametrize(
-    "counts, slope, segment, value, abscissa",
+    "counts, slope, segment, value, level_point",
     [
-        pytest.param([5], 1.0, 1, 2.5, 1.5, id="r=1"),
-        pytest.param([4, 4, 4, 4], 1.0, 3, 2.0, 4.5, id="all-equal"),
-        pytest.param([3, 3, 3], 0.5, 3, 1.5, 3.5, id="crossing-on-last-segment"),
-        pytest.param([5, 4, 4, 3], 4.0, 1, 4.0, 2.0, id="flat-segment-at-kh2"),
-        pytest.param([3, 1, 0, 0], 1.0, 1, 0.5, 2.5, id="zeros-after-r"),
+        pytest.param([5], 1.0, 1, 2.5, (1.5, 2.5), id="r=1"),
+        pytest.param([4, 4, 4, 4], 1.0, 3, 2.0, (4.5, 2.0), id="all-equal"),
+        pytest.param([3, 3, 3], 0.5, 3, 1.5, (3.5, 1.5), id="crossing-on-last-segment"),
+        pytest.param([5, 4, 4, 3], 4.0, 1, 4.0, (2.0, 4.0), id="flat-segment-at-kh2"),
+        pytest.param([3, 1, 0, 0], 1.0, 1, 0.5, (2.5, 0.5), id="zeros-after-r"),
+        pytest.param([4, 2, 1], 1.0, 1, 4.0, (1.0, 4.0), id="level-at-c-max"),
+        pytest.param([4, 2, 1], 1.0, 1, 9.5, (1.0, 4.0), id="level-above-c-max"),
     ],
 )
-def test_locator_edge_cases(counts, slope, segment, value, abscissa):
+def test_locator_edge_cases(counts, slope, segment, value, level_point):
     """Every search on the curve goes through first_vertex; check each at the edges."""
     p = build_profile("a", counts)
     assert first_vertex(p, lambda j, c: c == 0) == p.r + 1
@@ -203,4 +205,5 @@ def test_locator_edge_cases(counts, slope, segment, value, abscissa):
     crossing = line_crossing(p, slope)
     assert segment < crossing.r_star <= segment + 1
     check_crossing_against_grid(crossing, slope, counts)
-    assert _value_abscissa(p, value) == pytest.approx(abscissa, abs=1e-12)
+    level = level_crossing(p, value)
+    assert (level.r_star, level.c_star) == pytest.approx(level_point, abs=1e-12)

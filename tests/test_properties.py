@@ -285,6 +285,8 @@ def _reference_parse_csv_counts(lines):
         cell = line.strip()
         if not cell:
             continue
+        if not cell.isascii() or "_" in cell:
+            raise ParseError(f"line {lineno}: not an integer: {cell!r}")
         try:
             value = int(cell)
         except ValueError:

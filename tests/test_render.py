@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -7,6 +8,7 @@ from citemetric import (
     EmptyProfileError,
     build_plot_spec,
     build_profile,
+    kh2,
     merge_profiles,
     render_svg,
     write_points_csv,
@@ -55,12 +57,13 @@ def test_g_marker_included_on_request():
 
 
 def test_markers_lie_on_their_curve():
-    profile = build_profile("a", [40, 12, 3, 3, 2, 1, 1, 1])
-    spec = build_plot_spec([profile], include_g=True)
-    for marker in spec.markers:
-        if marker.kind == "kh2":
-            continue
-        assert profile.citation_at(marker.point[0]) == pytest.approx(marker.point[1], abs=1e-9)
+    for counts in ([40, 12, 3, 3, 2, 1, 1, 1], [2, 2, 2, 2, 2]):
+        profile = build_profile("a", counts)
+        spec = build_plot_spec([profile], include_g=True)
+        for marker in spec.markers:
+            if marker.kind == "kh2" and kh2(profile) > profile.c_max:
+                continue  # the curve never reaches kh2; test_kh2_marker_clamps_to_the_top_work pins it
+            assert profile.citation_at(marker.point[0]) == pytest.approx(marker.point[1], abs=1e-9)
 
 
 def test_empty_profiles_are_skipped_and_all_empty_is_an_error():
@@ -132,3 +135,57 @@ def test_points_csv_lists_curves_markers_and_guides():
     assert "a,kh1,1.3,5.2" in lines
     assert sum(1 for line in lines if ",guide," in line) == 6  # two endpoints per ray
     assert csv_text == write_points_csv(build_plot_spec([profile], guides=True))
+
+
+def _merged_pair_spec():
+    a, b = build_profile("a", [9, 3, 1]), build_profile("b", [4, 4, 2, 0])
+    items = [a, b, merge_profiles([a, b], label="merged")]
+    return build_plot_spec(items, guides=True, include_g=True, dashed={"merged"})
+
+
+@pytest.mark.parametrize(
+    "make_spec, svg_sha256, csv_sha256",
+    [
+        pytest.param(
+            _merged_pair_spec,
+            "04c68373b22e919a7a0dda5528cba7553cfa530f67003400fb052303a9fdd960",
+            "d4f4d88550271bb45ad9b5528aca1b30cf591688391dab40c2b6f09e06701f13",
+            id="linear-guides-g-dashed-merged",
+        ),
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a", [1000, 100, 10, 1])], log_y=True),
+            "c56177beb47cba687b8987e435518f5a429f2e635c1821d85f0305222cd0fc1d",
+            "db86309ea633b2eefeb21778b592c734e5899013dec950d80673b7c3c9e69c0c",
+            id="log-y",
+        ),
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a", [2, 2, 2, 2, 2])]),
+            "16f65f927b93b4566d83ef52f0dbc3ff1b0f727a936d8a618b92feb4aea58be9",
+            "3d44f4fc29d82ac215db23b0e2b0ab090a1b7ee8150323462a11c5c80980cd1d",
+            id="kh2-pinned",
+        ),
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a", [1])]),
+            "c5c81bbefc24aa7f48e3baaec2a544a7c4b973a90f949982781ad226c247ce69",
+            "89209e1d3b9f4af0091f4fd7c66814107abeaa941059d41c3dabd8613cf70460",
+            id="kh2-at-c-max",
+        ),
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a", [5, 5, 5, 5, 5])]),
+            "307f7ceecae2d8226607763f0076543b8d4839b42d7e0caaf0c0f78f06e3e81d",
+            "ffea922d1db568e1603ebb86432619c51cb6ef64ac47f08e0977938aff427b98",
+            id="flat-block-kh1-kh3-clamped",
+        ),
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a&b <\"c'd>", [6, 2, 1])], guides=True),
+            "1f3c12d5c96a11ce7f3a3b156ef89586cada0f73e44019a44d5b506ca928cc15",
+            "8316a20b48a579571e860c7f41801c9d8361846ccb0f32e9f7f3e8c7a9107c47",
+            id="label-needing-escapes",
+        ),
+    ],
+)
+def test_plot_output_bytes_are_pinned(make_spec, svg_sha256, csv_sha256):
+    """SVG and point-CSV bytes are part of the contract; any change shows here."""
+    spec = make_spec()
+    assert hashlib.sha256(render_svg(spec)).hexdigest() == svg_sha256
+    assert hashlib.sha256(write_points_csv(spec).encode("utf-8")).hexdigest() == csv_sha256
