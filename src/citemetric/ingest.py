@@ -119,6 +119,13 @@ def parse_profile_json(text: str) -> ProfileDocument:
     return ProfileDocument(author_id, tuple(citations), career_years, source)
 
 
+def _echo_cell(cell: str) -> str:
+    """A CSV cell for a diagnostic: whole if short, else its first 20 characters and its length."""
+    if len(cell) <= 20:
+        return repr(cell)
+    return f"{cell[:20] + '…'!r} ({len(cell)} characters)"
+
+
 def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
     """Parse the single-column CSV format (header 'citations')."""
     if not author_id:
@@ -143,7 +150,7 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
         if not cell:
             continue  # tolerate blank lines, typically a trailing newline
         if not cell.isascii() or "_" in cell:
-            raise ParseError(f"line {lineno}: not an integer: {cell!r}")
+            raise ParseError(f"line {lineno}: not an integer: {_echo_cell(cell)}")
         try:
             value = int(cell)
         except ValueError:
@@ -152,7 +159,7 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
                 if cell[0] == "-":
                     raise ValidationError(f"line {lineno}: citations must be non-negative") from None
                 raise ValidationError(f"line {lineno}: citations must be at most 2**53") from None
-            raise ParseError(f"line {lineno}: not an integer: {cell!r}") from None
+            raise ParseError(f"line {lineno}: not an integer: {_echo_cell(cell)}") from None
         if value < 0:
             raise ValidationError(f"line {lineno}: citations must be non-negative, got {value}")
         if value > MAX_COUNT:

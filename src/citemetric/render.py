@@ -3,7 +3,9 @@
 A plot spec is pure data: curves (the citation polylines), markers for
 the index readouts, and optional guide rays from the origin.  Rendering
 is a plain string assembly with fixed number formatting, so the same
-spec always yields byte-identical SVG.
+spec always yields byte-identical SVG.  Escaping is done here rather than
+with ``xml.sax.saxutils``, whose import pulls in ``urllib`` and ``email``,
+so that importing the CLI loads no ``xml`` module.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Collection, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .collective import CollectiveProfile
 from .errors import EmptyProfileError
@@ -120,6 +121,21 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def escape(text: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` as entities, as ``xml.sax.saxutils.escape``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """A quoted XML attribute value, byte for byte as ``xml.sax.saxutils.quoteattr`` writes it."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def render_svg(spec: PlotSpec) -> bytes:
     """Standalone SVG 1.1; byte-identical for identical specs."""
     width, height = 860.0, 540.0
@@ -127,7 +143,9 @@ def render_svg(spec: PlotSpec) -> bytes:
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
     x_data = max(x for curve in spec.curves for x, _ in curve.vertices)
-    y_data = max(c for curve in spec.curves for _, c in curve.vertices)
+    # a long curve repeats few distinct counts, so each ordinate is formatted once
+    y_values = {c for curve in spec.curves for _, c in curve.vertices}
+    y_data = max(y_values)
     x_step = _nice_step(x_data)
     x_max = x_step * math.ceil(x_data / x_step)
     if spec.log_y:
@@ -146,6 +164,10 @@ def render_svg(spec: PlotSpec) -> bytes:
         else:
             frac = c / y_max
         return mt + plot_h * (1.0 - frac)
+
+    # built in full before the path loop: filled inside it, the table's strings land among
+    # the loop's short-lived ones and keep their freed memory from being reused
+    y_text = {c: _fmt(sy(c)) for c in y_values}
 
     def color_for(label: str) -> str:
         for i, curve in enumerate(spec.curves):
@@ -222,11 +244,11 @@ def render_svg(spec: PlotSpec) -> bytes:
     # curves
     for i, curve in enumerate(spec.curves):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{'M' if j == 0 else 'L'} {_fmt(sx(x))} {_fmt(sy(c))}"
-                          for j, (x, c) in enumerate(curve.vertices))
+        # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
+        points = " L ".join([f"{ml + (x / x_max) * plot_w:.2f} {y_text[c]}" for x, c in curve.vertices])
         dash = ' stroke-dasharray="7 4"' if curve.dashed else ""
         parts.append(
-            f'<path class="curve" data-label={quoteattr(curve.label)} d="{points}" '
+            f'<path class="curve" data-label={quoteattr(curve.label)} d="M {points}" '
             f'fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
         lx, lc = curve.vertices[0]

@@ -1,5 +1,8 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +348,12 @@ _UNUSABLE_INPUTS = [
     pytest.param(
         "x.csv", "citations\n\u0663\n", "line 2: not an integer: '\u0663'\n", id="non-ascii-digit-csv-cell"
     ),
+    pytest.param(
+        "x.csv",
+        "citations\n" + "x" * 5000 + "\n",
+        "line 2: not an integer: 'xxxxxxxxxxxxxxxxxxxx\u2026' (5000 characters)\n",
+        id="long-garbage-csv-cell",
+    ),
 ]
 
 
@@ -357,6 +366,7 @@ def test_compute_rejects_unusable_input_with_one_diagnostic(tmp_path, capsys, na
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode("utf-8")) < 200
 
 
 @pytest.mark.parametrize("name, text, message", _UNUSABLE_INPUTS)
@@ -386,3 +396,14 @@ def test_table_written_into_its_own_directory_is_not_read_back(tmp_path):
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert [row.split(",")[0] for row in outputs[0].decode().splitlines()] == ["no", "a", "b"]
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # -S keeps site-packages' .pth hooks, which may import these themselves, out of the child
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import citemetric.cli; "
+        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') if m in sys.modules))"
+    )
+    child = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import random
 import re
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citemetric import (
     EmptyProfileError,
@@ -13,6 +17,7 @@ from citemetric import (
     render_svg,
     write_points_csv,
 )
+from citemetric import render
 
 
 def _markers_by_kind(spec):
@@ -143,6 +148,17 @@ def _merged_pair_spec():
     return build_plot_spec(items, guides=True, include_g=True, dashed={"merged"})
 
 
+def _pareto_pair_spec(log_y=False):
+    # two 2,000-work Pareto tails share one table of distinct ordinates with their merged curve
+    rng = random.Random(0)
+    a, b = (
+        build_profile(label, [0 if rng.random() < 0.1 else int(2 * rng.paretovariate(1.1)) for _ in range(2000)])
+        for label in ("a", "b")
+    )
+    items = [a, b, merge_profiles([a, b], label="merged")]
+    return build_plot_spec(items, guides=True, include_g=True, log_y=log_y, dashed={"merged"})
+
+
 @pytest.mark.parametrize(
     "make_spec, svg_sha256, csv_sha256",
     [
@@ -182,6 +198,18 @@ def _merged_pair_spec():
             "8316a20b48a579571e860c7f41801c9d8361846ccb0f32e9f7f3e8c7a9107c47",
             id="label-needing-escapes",
         ),
+        pytest.param(
+            _pareto_pair_spec,
+            "fbfd2ced0a4b207c569fe5f1c3faaa2e45e28dc4dc88322821fb4b872c1aa615",
+            "f4ece5d55506047d9ebbff947b7b56a34f2a8a7ecf5f1fe0c501b21aaf052fa4",
+            id="pareto-pair-linear-guides-g-dashed-merged",
+        ),
+        pytest.param(
+            lambda: _pareto_pair_spec(log_y=True),
+            "584e568cd3389c413ac877fbbb56f09611f5ab1901456b787be8cc8be3448978",
+            "f4ece5d55506047d9ebbff947b7b56a34f2a8a7ecf5f1fe0c501b21aaf052fa4",
+            id="pareto-pair-log-y",
+        ),
     ],
 )
 def test_plot_output_bytes_are_pinned(make_spec, svg_sha256, csv_sha256):
@@ -189,3 +217,9 @@ def test_plot_output_bytes_are_pinned(make_spec, svg_sha256, csv_sha256):
     spec = make_spec()
     assert hashlib.sha256(render_svg(spec)).hexdigest() == svg_sha256
     assert hashlib.sha256(write_points_csv(spec).encode("utf-8")).hexdigest() == csv_sha256
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from("&<>\"'\n\r\t"), st.characters())))
+def test_escaping_matches_the_standard_library(text):
+    assert render.escape(text) == saxutils.escape(text)
+    assert render.quoteattr(text) == saxutils.quoteattr(text)
