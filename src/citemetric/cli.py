@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .collective import collective_report, merge_profiles
-from .errors import CitemetricError
+from .errors import CitemetricError, ValidationError
 from .indices import IndexReport, compute_report
 from .ingest import (
     REPORT_FIELDS,
@@ -31,6 +31,7 @@ from .ingest import (
     write_report_table,
     write_table,
 )
+from .profile import CitationProfile
 from .render import build_plot_spec, render_svg, write_points_csv
 
 
@@ -46,10 +47,9 @@ def _load_document(path: str) -> ProfileDocument:
 
 
 def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    # an author id from a non-UTF-8 file name or --label holds surrogateescape
+    # code points; they go back out as the original bytes
+    _emit_bytes(text.encode("utf-8", "surrogateescape"), out)
 
 
 def _emit_bytes(data: bytes, out: str | None) -> None:
@@ -91,7 +91,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 1 if result.failures else 0
 
 
+def _check_label(label: str | None, profiles: Sequence[CitationProfile] = ()) -> None:
+    """Reject an empty --label, or one that is already an input's author id."""
+    if label == "":
+        raise ValidationError("--label must not be empty")
+    if any(profile.author_id == label for profile in profiles):
+        raise ValidationError(f"--label {label!r} is also an input's author id; the pooled curve needs its own")
+
+
 def cmd_merge(args: argparse.Namespace) -> int:
+    _check_label(args.label)
     profiles = [_load_document(path).to_profile() for path in args.paths]
     collective = merge_profiles(profiles, label=args.label)
     document = ProfileDocument(
@@ -110,6 +119,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     items: list = list(profiles)
     dashed: set[str] = set()
     if args.with_merged:
+        _check_label(args.label, profiles)
         collective = merge_profiles(profiles, label=args.label)
         items.append(collective)
         dashed.add(collective.merged.author_id)

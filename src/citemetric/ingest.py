@@ -200,18 +200,55 @@ def parse_profile(
     raise ValidationError(f"unknown profile format: {fmt!r}")
 
 
+_BLOCK = 1024  # counts per block of a JSON citations array; 256 to 2,048 time about the same
+
+
+def _json_counts(citations: Sequence[object]) -> str:
+    """The JSON array of ``citations``, as ``json.dumps`` writes it, one block at a time.
+
+    Counts repeat heavily, so most blocks of a sorted profile hold one
+    value: its text is formatted once and repeated.  Only a block of
+    exact ints qualifies, as ``True`` and ``1.0`` compare equal to ``1``.
+    The counts between such blocks go through one ``json.dumps`` call.
+    """
+    parts = []
+    done = 0  # counts before this index are in parts
+    for start in range(0, len(citations), _BLOCK):
+        end = min(start + _BLOCK, len(citations))
+        first = citations[start]
+        if citations[end - 1] != first:  # most blocks of distinct or unsorted counts stop here
+            continue
+        block = citations[start:end]
+        if block.count(first) == len(block) and set(map(type, block)) == {int}:
+            if done < start:
+                parts.append(json.dumps(citations[done:start], ensure_ascii=False)[1:-1])
+            text = str(first)
+            parts.append((text + ", ") * (len(block) - 1) + text)
+            done = end
+    if done < len(citations):
+        parts.append(json.dumps(citations[done:], ensure_ascii=False)[1:-1])
+    return "[" + ", ".join(parts) + "]"
+
+
 def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
-    """Serialize a document; CSV keeps only the citation counts."""
+    """Serialize a document; CSV keeps only the citation counts.
+
+    JSON comes out byte for byte as ``json.dumps(data, ensure_ascii=False)``
+    of the dict of the document's fields, in field order, absent optional
+    fields left out.
+    """
     if fmt == "json":
-        data: dict[str, object] = {
-            "author_id": document.author_id,
-            "citations": list(document.citations),
-        }
+        parts = [
+            '{"author_id": ',
+            json.dumps(document.author_id, ensure_ascii=False),
+            ', "citations": ',
+            _json_counts(tuple(document.citations)),
+        ]
         if document.career_years is not None:
-            data["career_years"] = document.career_years
+            parts += [', "career_years": ', json.dumps(document.career_years, ensure_ascii=False)]
         if document.source is not None:
-            data["source"] = document.source
-        return json.dumps(data, ensure_ascii=False) + "\n"
+            parts += [', "source": ', json.dumps(document.source, ensure_ascii=False)]
+        return "".join(parts) + "}\n"
     if fmt == "csv":
         return "citations\n" + "".join(f"{value}\n" for value in document.citations)
     raise ValidationError(f"unknown profile format: {fmt!r}")

@@ -104,9 +104,14 @@ def build_profile(
 ) -> CitationProfile:
     """Validate and sort raw per-work citation counts into a profile."""
     raw = list(counts)
-    check_counts(raw, "counts")
+    exact = set(map(type, raw)) <= {int}  # so that sorted() cannot raise TypeError
+    ordered = sorted(raw, reverse=True) if exact else []
+    # sorted, the counts need their bounds checked at the two ends only
+    if not exact or (ordered and (ordered[-1] < 0 or ordered[0] > MAX_COUNT)):
+        check_counts(raw, "counts")  # names the first offender; int subclasses pass it, still unsorted
+        ordered = sorted(raw, reverse=True)
     check_career_years(career_years)
-    return from_sorted(author_id, tuple(sorted(raw, reverse=True)), career_years)
+    return from_sorted(author_id, tuple(ordered), career_years)
 
 
 def from_sorted(

@@ -281,7 +281,7 @@ def render_svg(spec: PlotSpec) -> bytes:
             )
 
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return ("\n".join(parts) + "\n").encode("utf-8", "surrogateescape")  # labels from non-UTF-8 file names
 
 
 def write_points_csv(spec: PlotSpec) -> str:

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -407,3 +409,80 @@ def test_cli_import_loads_no_xml_or_network_modules():
     )
     child = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
     assert child.stdout == "[]\n"
+
+
+def test_merge_document_bytes_are_pinned(tmp_path):
+    """The merged document of two 10^5-work Pareto profiles, hashed before write_profile wrote in blocks."""
+    rng = random.Random(7)
+    a, b = ([0 if rng.random() < 0.2 else int(2 * rng.paretovariate(1.1)) for _ in range(100_000)] for _ in "ab")
+    _write_json(tmp_path / "a.json", "a", a, career_years=12, source="scholar")
+    (tmp_path / "b.csv").write_text("citations\n" + "".join(f"{c}\n" for c in b), encoding="utf-8")
+    out_path = tmp_path / "pooled.json"
+    args = ["merge", str(tmp_path / "a.json"), str(tmp_path / "b.csv"), "--label", "pooled", "-o", str(out_path)]
+    assert main(args) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "fb8ebba0806c4007fde241bed502c911793c1b230ecb6a0fadd2da10d321a1c3"
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "args, out_name, expected",
+    [
+        pytest.param(("compute", "\udcff.csv"), None, b"author_id: \xff\n", id="compute-stdout"),
+        pytest.param(("table", ".", "-o", "t.csv"), "t.csv", b"\n\xff,2,2,4,", id="table"),
+        pytest.param(
+            ("merge", "\udcff.csv", "--label", "\udcfe", "-o", "m.json"),
+            "m.json",
+            b'{"author_id": "\xfe", "citations": [3, 1]}\n',
+            id="merge",
+        ),
+        pytest.param(
+            ("plot", "\udcff.csv", "--with-merged", "-o", "p.svg"), "p.svg", b'data-label="\xff"', id="plot"
+        ),
+    ],
+)
+def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args, out_name, expected):
+    # the file name \xff.csv (and the label \xfe) reach the program as surrogateescape code points
+    (tmp_path / "\udcff.csv").write_text("citations\n3\n1\n", encoding="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-m", "citemetric.cli", *args],
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+    )
+    assert child.returncode == 0, child.stderr
+    output = (tmp_path / out_name).read_bytes() if out_name else child.stdout
+    assert expected in output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(("merge", "a.json", "--label", ""), "--label must not be empty", id="merge-empty"),
+        pytest.param(
+            ("plot", "a.json", "--with-merged", "--label", ""), "--label must not be empty", id="plot-empty"
+        ),
+        pytest.param(
+            ("plot", "a.json", "b.json", "--with-merged", "--label", "b"),
+            "--label 'b' is also an input's author id",
+            id="plot-label-is-an-input-id",
+        ),
+        pytest.param(
+            ("plot", "merged.json", "b.json", "--with-merged"),
+            "--label 'merged' is also an input's author id",
+            id="plot-default-label-is-an-input-id",
+        ),
+    ],
+)
+def test_unusable_label_fails_with_one_diagnostic(tmp_path, capsys, monkeypatch, args, message):
+    for name in ("a", "b", "merged"):
+        _write_json(tmp_path / f"{name}.json", name, [3, 1])
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "-o", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

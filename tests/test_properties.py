@@ -1,9 +1,10 @@
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citemetric import (
@@ -28,9 +29,9 @@ from citemetric import (
     write_report_table,
 )
 from citemetric.errors import ParseError, ValidationError
-from citemetric.ingest import parse_profile_csv, parse_profile_json
+from citemetric.ingest import _BLOCK, parse_profile_csv, parse_profile_json
 from citemetric.indices import compute_report
-from citemetric.profile import MAX_COUNT, check_counts
+from citemetric.profile import MAX_COUNT, check_career_years, check_counts, from_sorted
 from oracles import (
     brute_c_k,
     brute_g_egghe,
@@ -320,3 +321,72 @@ def test_parse_csv_matches_the_line_loop(lines, trailing_newline):
     text = "citations\n" + "\n".join(lines) + ("\n" if trailing_newline else "")
     expected = _outcome(_reference_parse_csv_counts, text.splitlines()[1:])
     assert _outcome(parse_profile_csv, text, "a") == expected
+
+
+def _reference_build_profile(counts, career_years):
+    """The body build_profile had before it checked bounds on the sorted ends."""
+    raw = list(counts)
+    check_counts(raw, "counts")
+    check_career_years(career_years)
+    return from_sorted("a", tuple(sorted(raw, reverse=True)), career_years)
+
+
+career_years_like = st.one_of(st.none(), st.integers(min_value=-1, max_value=3), st.booleans(), st.just(2.0))
+
+
+@settings(max_examples=300)
+@given(st.lists(exact_ints, max_size=30) | st.lists(count_like, max_size=30), career_years_like)
+def test_build_profile_matches_validate_then_sort(values, career_years):
+    # a TypeError from sorting mixed types would escape _outcome and fail the test
+    expected = _outcome(_reference_build_profile, values, career_years)
+    assert _outcome(build_profile, "a", values, career_years) == expected
+
+
+def _reference_write_json(doc):
+    data = {"author_id": doc.author_id, "citations": list(doc.citations)}
+    if doc.career_years is not None:
+        data["career_years"] = doc.career_years
+    if doc.source is not None:
+        data["source"] = doc.source
+    return json.dumps(data, ensure_ascii=False) + "\n"
+
+
+# runs of one value whose lengths straddle the block boundaries write_profile cuts at
+count_runs = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2, 7, 2**53, True, False, 1.0, _Count(1), "\u00e9"])
+        | st.integers(min_value=0, max_value=2**60),
+        st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1]),
+    ),
+    max_size=4,
+)
+json_text = st.text(st.sampled_from('a"\\\u00e9\t\x00\u2028'), max_size=6) | st.text(max_size=6)
+
+
+def _trap(value):
+    """A block of 1s but for one last count that compares equal to them without being an exact int."""
+    return ([(1, _BLOCK - 1), (value, 1)], "as drawn", random.Random(0), "a", None, None)
+
+
+@settings(max_examples=200)
+@example(*_trap(True))
+@example(*_trap(1.0))
+@example(*_trap(_Count(1)))
+@example([(0, _BLOCK + 1), (False, _BLOCK)], "sorted", random.Random(0), "a", 3, "s")
+@example([("\u00e9", 1), (1, _BLOCK - 1), (2, _BLOCK), ("\u00e9", 1)], "as drawn", random.Random(0), "\u00e9", 3, "\\")
+@given(
+    count_runs,
+    st.sampled_from(["as drawn", "sorted", "shuffled"]),
+    st.randoms(use_true_random=False),
+    json_text,
+    st.none() | st.integers(min_value=1, max_value=80),
+    st.none() | json_text,
+)
+def test_write_profile_json_matches_json_dumps(runs, order, rng, author_id, years, source):
+    counts = [value for value, length in runs for _ in range(length)]
+    if order == "sorted":
+        counts.sort(key=lambda value: (isinstance(value, str), value), reverse=True)  # text apart from numbers
+    elif order == "shuffled":
+        rng.shuffle(counts)
+    doc = ProfileDocument(author_id, tuple(counts), years, source)
+    assert write_profile(doc, "json") == _reference_write_json(doc)
