@@ -8,16 +8,14 @@ every index applies unchanged; career years do not pool and stay absent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError
 from .indices import IndexReport, compute_report
 from .profile import CitationProfile, from_sorted
 
 
-@dataclass(frozen=True)
-class CollectiveProfile:
+class CollectiveProfile(NamedTuple):
     """A merged profile plus per-author averages."""
 
     member_ids: tuple[str, ...]

@@ -10,14 +10,13 @@ sqrt(c_sigma), and kh is the largest of the three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, EmptyProfileError, MissingFieldError
 from .profile import CitationProfile, CrossingPoint, first_vertex
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """One table row: every index and parameter for a single profile."""
 
     author_id: str

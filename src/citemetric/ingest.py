@@ -14,10 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .indices import IndexReport
@@ -37,8 +36,7 @@ REPORT_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ProfileDocument:
+class ProfileDocument(NamedTuple):
     """One profile file's content, independent of the on-disk format."""
 
     author_id: str
@@ -50,14 +48,12 @@ class ProfileDocument:
         return build_profile(self.author_id, self.citations, self.career_years)
 
 
-@dataclass(frozen=True)
-class ScanFailure:
+class ScanFailure(NamedTuple):
     path: Path
     error: str
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Documents parsed from a directory plus the per-file failures."""
 
     documents: tuple[ProfileDocument, ...]
@@ -235,9 +231,14 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
 
     JSON comes out byte for byte as ``json.dumps(data, ensure_ascii=False)``
     of the dict of the document's fields, in field order, absent optional
-    fields left out.
+    fields left out.  An id or source that strict UTF-8 cannot encode, such
+    as an id from a non-UTF-8 file name, is rejected, as the document could
+    not be read back.
     """
     if fmt == "json":
+        _check_encodable(document.author_id, "author_id")
+        if document.source is not None:
+            _check_encodable(document.source, "source")
         parts = [
             '{"author_id": ',
             json.dumps(document.author_id, ensure_ascii=False),

@@ -13,16 +13,14 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, EmptyProfileError, ValidationError
 
 MAX_COUNT = 2**53  # the largest integer a float holds exactly; c_s and the crossings stay finite
 
 
-@dataclass(frozen=True)
-class CitationProfile:
+class CitationProfile(NamedTuple):
     """Per-author citation counts plus the derived scalar parameters."""
 
     author_id: str
@@ -58,8 +56,7 @@ class CitationProfile:
         return self.counts[j - 1] if j <= self.r else 0
 
 
-@dataclass(frozen=True)
-class CrossingPoint:
+class CrossingPoint(NamedTuple):
     """Intersection of a ray from the origin with a citation curve."""
 
     r_star: float

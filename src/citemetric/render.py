@@ -11,8 +11,7 @@ so that importing the CLI loads no ``xml`` module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .collective import CollectiveProfile
 from .errors import EmptyProfileError
@@ -26,47 +25,44 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     label: str
     vertices: tuple[tuple[float, float], ...]
     dashed: bool = False
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(NamedTuple):
     label: str
     kind: str  # h, kh1, kh2, kh3 or g
     point: tuple[float, float]
+    curve: int  # index of its curve in PlotSpec.curves, which sets its colour
 
 
-@dataclass(frozen=True)
-class GuideLine:
+class GuideLine(NamedTuple):
     label: str
     slope: float
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(NamedTuple):
     curves: tuple[Curve, ...]
     markers: tuple[Marker, ...]
     guide_lines: tuple[GuideLine, ...]
     log_y: bool = False
 
 
-def _profile_markers(profile: CitationProfile, include_g: bool) -> list[Marker]:
+def _profile_markers(profile: CitationProfile, curve: int, include_g: bool) -> list[Marker]:
     label = profile.author_id
     h = h_index(profile)
-    markers = [Marker(label, "h", (float(h), float(profile.vertex(h))))]
+    markers = [Marker(label, "h", (float(h), float(profile.vertex(h))), curve)]
     for kind, point in (
         ("kh1", line_crossing(profile, profile.c_s)),
         ("kh2", level_crossing(profile, kh2(profile))),  # pinned at (1, c_max) when kh2 > c_max
         ("kh3", line_crossing(profile, math.sqrt(profile.c_sigma))),
     ):
-        markers.append(Marker(label, kind, (point.r_star, point.c_star)))
+        markers.append(Marker(label, kind, (point.r_star, point.c_star), curve))
     if include_g:
         rank = math.isqrt(g_index_parabola(profile))
-        markers.append(Marker(label, "g", (float(rank), float(profile.vertex(rank)))))
+        markers.append(Marker(label, "g", (float(rank), float(profile.vertex(rank))), curve))
     return markers
 
 
@@ -91,11 +87,11 @@ def build_plot_spec(
     curves = []
     markers: list[Marker] = []
     guide_lines: list[GuideLine] = []
-    for profile in profiles:
+    for curve, profile in enumerate(profiles):
         # a list comprehension, as tuple() of a generator is slower on long curves
         vertices = tuple([(float(rank), float(profile.vertex(rank))) for rank in range(1, profile.r + 2)])
         curves.append(Curve(profile.author_id, vertices, dashed=profile.author_id in dashed))
-        markers.extend(_profile_markers(profile, include_g))
+        markers.extend(_profile_markers(profile, curve, include_g))
         if guides:
             guide_lines.append(GuideLine(f"{profile.author_id}:unit", 1.0))
             guide_lines.append(GuideLine(f"{profile.author_id}:mean", profile.c_s))
@@ -168,12 +164,6 @@ def render_svg(spec: PlotSpec) -> bytes:
     # built in full before the path loop: filled inside it, the table's strings land among
     # the loop's short-lived ones and keep their freed memory from being reused
     y_text = {c: _fmt(sy(c)) for c in y_values}
-
-    def color_for(label: str) -> str:
-        for i, curve in enumerate(spec.curves):
-            if curve.label == label:
-                return _PALETTE[i % len(_PALETTE)]
-        return "#555555"
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -259,7 +249,7 @@ def render_svg(spec: PlotSpec) -> bytes:
 
     # markers
     for marker in spec.markers:
-        color = color_for(marker.label)
+        color = _PALETTE[marker.curve % len(_PALETTE)]
         px, py = sx(marker.point[0]), sy(marker.point[1])
         attrs = f'class="marker marker-{marker.kind}" data-label={quoteattr(marker.label)}'
         if marker.kind == "h":

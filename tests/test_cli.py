@@ -405,7 +405,8 @@ def test_cli_import_loads_no_xml_or_network_modules():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import citemetric.cli; "
-        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email') if m in sys.modules))"
+        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'dataclasses', 'inspect')"
+        " if m in sys.modules))"
     )
     child = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
     assert child.stdout == "[]\n"
@@ -433,12 +434,6 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
         pytest.param(("compute", "\udcff.csv"), None, b"author_id: \xff\n", id="compute-stdout"),
         pytest.param(("table", ".", "-o", "t.csv"), "t.csv", b"\n\xff,2,2,4,", id="table"),
         pytest.param(
-            ("merge", "\udcff.csv", "--label", "\udcfe", "-o", "m.json"),
-            "m.json",
-            b'{"author_id": "\xfe", "citations": [3, 1]}\n',
-            id="merge",
-        ),
-        pytest.param(
             ("plot", "\udcff.csv", "--with-merged", "-o", "p.svg"), "p.svg", b'data-label="\xff"', id="plot"
         ),
     ],
@@ -455,6 +450,29 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
     assert child.returncode == 0, child.stderr
     output = (tmp_path / out_name).read_bytes() if out_name else child.stdout
     assert expected in output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("merge", "\udcff.csv", "--label", "\udcfe", "-o", "m.json"), id="label"),
+        pytest.param(("merge", "\udcff.csv", "-o", "m.json"), id="file-name"),
+    ],
+)
+def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args):
+    # a JSON document holding the bytes \xfe or \xff could not be read back by any command
+    (tmp_path / "\udcff.csv").write_text("citations\n3\n1\n", encoding="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-m", "citemetric.cli", *args],
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+    )
+    assert child.returncode == 1
+    assert child.stdout == b""
+    assert child.stderr.startswith(b"error: author_id has a lone surrogate at position 0")
+    assert len(child.stderr.splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize(

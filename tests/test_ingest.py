@@ -114,6 +114,18 @@ def test_round_trip_csv_carries_counts_only():
     assert parse_profile_csv(write_profile(doc, "csv"), "weil") == doc
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        pytest.param(ProfileDocument("\udcff", (1,)), "author_id", id="id-from-file-name-xff"),
+        pytest.param(ProfileDocument("a", (1,), source="x\udcfe"), "source", id="source"),
+    ],
+)
+def test_write_json_rejects_text_utf8_cannot_encode(doc, field):
+    with pytest.raises(ValidationError, match=f"^{field} has a lone surrogate"):
+        write_profile(doc, "json")
+
+
 def test_scan_directory_sorted_and_tolerant(tmp_path):
     (tmp_path / "b.json").write_text('{"author_id": "b", "citations": [2]}', encoding="utf-8")
     (tmp_path / "a.csv").write_text("citations\n5\n", encoding="utf-8")

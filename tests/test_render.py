@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import pytest
@@ -118,6 +119,19 @@ def test_dashed_curves():
     profiles = [build_profile("a", [5]), build_profile("b", [3])]
     svg = render_svg(build_plot_spec(profiles, dashed={"b"})).decode()
     assert svg.count("stroke-dasharray") == 1
+
+
+def test_markers_take_their_own_curves_colour():
+    # two inputs may share an author id; the label does not say which curve a marker is on
+    profiles = [build_profile("a", [9, 3, 1]), build_profile("a", [4, 4, 2])]
+    root = ElementTree.fromstring(render_svg(build_plot_spec(profiles, include_g=True)))
+    strokes = [path.get("stroke") for path in root.iter("{http://www.w3.org/2000/svg}path")]
+    markers = [element for element in root if (element.get("class") or "").startswith("marker ")]
+    assert len(set(strokes)) == 2
+    assert len(markers) == 10  # h, kh1, kh2, kh3 and g of the first curve, then of the second
+    for i, marker in enumerate(markers):
+        if marker.get("class") != "marker marker-kh2":  # kh2 is drawn dark on every curve
+            assert strokes[i // 5] in (marker.get("fill"), marker.get("stroke"))
 
 
 def test_log_axis_spaces_decades_evenly():
