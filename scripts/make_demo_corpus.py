@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     spec = build_plot_spec(profiles, guides=True, include_g=True)
     (out / "curves.svg").write_bytes(render_svg(spec))
     (out / "curve_points.csv").write_text(write_points_csv(spec), encoding="utf-8")
-    overlay = build_plot_spec(profiles + [collective], log_y=True, dashed={"all"})
+    overlay = build_plot_spec(profiles + [collective], log_y=True)
     (out / "curves_log.svg").write_bytes(render_svg(overlay))
     (out / "merged.json").write_text(
         write_profile(

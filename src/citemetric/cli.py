@@ -21,11 +21,10 @@ from .collective import collective_report, merge_profiles
 from .errors import CitemetricError, ValidationError
 from .indices import IndexReport, compute_report
 from .ingest import (
-    REPORT_FIELDS,
     ProfileDocument,
+    display_cells,
     format_real,
     parse_profile,
-    report_cells,
     scan_directory,
     write_profile,
     write_report_table,
@@ -42,7 +41,7 @@ def _default_format(valid: tuple[str, ...]) -> str:
 
 def _load_document(path: str) -> ProfileDocument:
     if path == "-":
-        return parse_profile(sys.stdin, fmt="json")
+        return parse_profile(sys.stdin.buffer, fmt="json")  # UTF-8, as a file is, whatever the locale
     return parse_profile(Path(path))
 
 
@@ -61,7 +60,7 @@ def _emit_bytes(data: bytes, out: str | None) -> None:
 
 def _report_output(report: IndexReport, args: argparse.Namespace) -> str:
     if args.format == "text":
-        return "".join(f"{field}: {cell}\n" for field, cell in zip(REPORT_FIELDS, report_cells(report)))
+        return "".join(f"{field}: {cell}\n" for field, cell in zip(report._fields, display_cells(report)))
     return write_report_table([report], "csv", include_kh=args.include_kh)
 
 
@@ -117,19 +116,10 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     profiles = [_load_document(path).to_profile() for path in args.paths]
     items: list = list(profiles)
-    dashed: set[str] = set()
     if args.with_merged:
         _check_label(args.label, profiles)
-        collective = merge_profiles(profiles, label=args.label)
-        items.append(collective)
-        dashed.add(collective.merged.author_id)
-    spec = build_plot_spec(
-        items,
-        guides=args.guides,
-        include_g=args.include_g,
-        log_y=args.log_y,
-        dashed=dashed,
-    )
+        items.append(merge_profiles(profiles, label=args.label))
+    spec = build_plot_spec(items, guides=args.guides, include_g=args.include_g, log_y=args.log_y)
     if args.format == "svg":
         _emit_bytes(render_svg(spec), args.output)
     else:
@@ -155,8 +145,7 @@ def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list
         ]
         for column, value in zip(columns, values):
             column.append(value)
-        cells = [str(value) if isinstance(value, int) else format_real(value) for value in values]
-        rows.append([doc.source or doc.author_id, *cells])
+        rows.append([doc.source or doc.author_id, *display_cells(values)])
     ratio = ["max/min"]
     for column in columns:
         if any(value is None for value in column) or min(column) <= 0:  # type: ignore[type-var]

@@ -61,6 +61,38 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     return CrossingPoint(r_star=x, c_star=slope * x)
 
 
+def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> CrossingPoint:
+    """``line_crossing`` for the rational slope p / q > 0, in integers.
+
+    The crossing segment is C(x) = num + seg * x, so each coordinate is one
+    correctly rounded int / int division, and a crossing exactly on a display
+    tie such as 59.45 stays on it.
+    """
+    if profile.r == 0:
+        raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works")
+    if p >= profile.c_max * q:
+        return CrossingPoint(r_star=profile.c_max * q / p, c_star=float(profile.c_max))
+    k = first_vertex(profile, lambda j, c: c * q <= p * j) - 1
+    here = profile.vertex(k)
+    seg = profile.vertex(k + 1) - here
+    num = here - seg * k
+    den = p - seg * q
+    return CrossingPoint(r_star=num * q / den, c_star=p * num / den)
+
+
+def kh1_crossing(profile: CitationProfile) -> CrossingPoint:
+    """Crossing with the mean-citation ray, of slope c_s = c_sigma / r."""
+    return _rational_ray_crossing(profile, profile.c_sigma, profile.r)
+
+
+def kh3_crossing(profile: CitationProfile) -> CrossingPoint:
+    """Crossing with the ray of slope sqrt(c_sigma), exact when c_sigma is a perfect square."""
+    root = math.isqrt(profile.c_sigma)
+    if root * root == profile.c_sigma:
+        return _rational_ray_crossing(profile, root, 1)
+    return line_crossing(profile, math.sqrt(profile.c_sigma))  # irrational: no exact display tie
+
+
 def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
     """Smallest rank where the citation curve comes down to the level c = value > 0.
 
@@ -131,7 +163,7 @@ def kh1(profile: CitationProfile) -> float:
     """Crossing ordinate of the curve with the mean-citation ray c = c_s * r."""
     if profile.r == 0:
         return 0.0
-    return line_crossing(profile, profile.c_s).c_star
+    return kh1_crossing(profile).c_star
 
 
 def kh2(profile: CitationProfile) -> float:
@@ -143,7 +175,7 @@ def kh3(profile: CitationProfile) -> float:
     """Crossing ordinate of the curve with the ray of slope sqrt(c_sigma)."""
     if profile.r == 0:
         return 0.0
-    return line_crossing(profile, math.sqrt(profile.c_sigma)).c_star
+    return kh3_crossing(profile).c_star
 
 
 def kh_max(profile: CitationProfile) -> float:

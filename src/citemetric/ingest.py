@@ -6,7 +6,8 @@ and "source".  CSV is deliberately minimal: a single "citations" header
 followed by one non-negative integer per line, with the author id taken
 from the file stem.  Report tables come out as CSV or markdown with a
 fixed column order; real-valued cells are rounded half-up to one
-decimal at this layer only, computation keeps full precision.
+decimal at this layer only, computation keeps full precision.  Report
+columns and JSON keys are the records' own fields, in field order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import json
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .indices import IndexReport
@@ -27,14 +28,6 @@ from .profile import (
     check_career_years,
     check_counts,
 )
-
-# The IndexReport fields in report order; tables head the id column "no"
-# and carry kh only on request.
-REPORT_FIELDS = (
-    "author_id", "r0", "r", "c_sigma", "c10", "c_max", "c_s",
-    "h", "g", "m", "i10", "kh1", "kh2", "kh3", "kh",
-)
-
 
 class ProfileDocument(NamedTuple):
     """One profile file's content, independent of the on-disk format."""
@@ -74,10 +67,19 @@ def format_real(value: float | None, decimals: int = 1) -> str:
 
 
 def _check_encodable(text: str, name: str) -> None:
-    """Reject text that UTF-8 cannot encode: a lone surrogate, as from a JSON "\\ud800"."""
+    """Reject text that UTF-8 cannot encode: a lone surrogate, as from a JSON "\\ud800".
+
+    U+DC80 to U+DCFF stand for the bytes 0x80 to 0xff of a non-UTF-8 file
+    name or argument, decoded with ``surrogateescape``; the message names the byte.
+    """
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
+        code = ord(text[exc.start])
+        if 0xDC80 <= code <= 0xDCFF:
+            raise ValidationError(
+                f"{name} holds the byte {code - 0xDC00:#04x} at position {exc.start}, which is not UTF-8"
+            ) from None
         raise ValidationError(
             f"{name} has a lone surrogate at position {exc.start}, which UTF-8 cannot encode"
         ) from None
@@ -165,30 +167,32 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
 
 
 def parse_profile(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str] | IO[bytes],
     fmt: str | None = None,
     *,
     author_id: str | None = None,
 ) -> ProfileDocument:
-    """Parse a profile from a path or an open text stream.
+    """Parse a profile from a path or an open stream.
 
+    Bytes, from a path or a binary stream, are decoded as strict UTF-8.
     The format is inferred from the path suffix unless given; streams
     need an explicit format, and CSV streams an explicit author id.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if fmt is None:
-            fmt = path.suffix.lstrip(".").lower()
-        try:
+    try:
+        if isinstance(source, (str, Path)):
+            path = Path(source)
+            if fmt is None:
+                fmt = path.suffix.lstrip(".").lower()
             text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from None
-        if author_id is None:
-            author_id = path.stem
-    else:
-        if fmt is None:
-            raise ValidationError("a stream needs an explicit format")
-        text = source.read()
+            if author_id is None:
+                author_id = path.stem
+        else:
+            if fmt is None:
+                raise ValidationError("a stream needs an explicit format")
+            data = source.read()
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     if fmt == "json":
         return parse_profile_json(text)
     if fmt == "csv":
@@ -239,16 +243,11 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
         _check_encodable(document.author_id, "author_id")
         if document.source is not None:
             _check_encodable(document.source, "source")
-        parts = [
-            '{"author_id": ',
-            json.dumps(document.author_id, ensure_ascii=False),
-            ', "citations": ',
-            _json_counts(tuple(document.citations)),
-        ]
-        if document.career_years is not None:
-            parts += [', "career_years": ', json.dumps(document.career_years, ensure_ascii=False)]
-        if document.source is not None:
-            parts += [', "source": ', json.dumps(document.source, ensure_ascii=False)]
+        parts = []
+        for field, value in zip(document._fields, document):
+            if value is not None:
+                text = _json_counts(tuple(value)) if field == "citations" else json.dumps(value, ensure_ascii=False)
+                parts += [", " if parts else "{", f'"{field}": ', text]
         return "".join(parts) + "}\n"
     if fmt == "csv":
         return "citations\n" + "".join(f"{value}\n" for value in document.citations)
@@ -282,24 +281,10 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
     return ScanResult(documents=tuple(documents), failures=tuple(failures))
 
 
-def report_cells(report: IndexReport) -> list[str]:
-    """Every report field as display text, in ``REPORT_FIELDS`` order."""
+def display_cells(values: Iterable[object]) -> list[str]:
+    """A row as display text: reals half-up through ``format_real``, None as '-', the rest by str()."""
     return [
-        report.author_id,
-        str(report.r0),
-        str(report.r),
-        str(report.c_sigma),
-        str(report.c10),
-        str(report.c_max),
-        format_real(report.c_s),
-        str(report.h),
-        str(report.g),
-        format_real(report.m),
-        str(report.i10),
-        format_real(report.kh1),
-        format_real(report.kh2),
-        format_real(report.kh3),
-        format_real(report.kh),
+        "-" if value is None else format_real(value) if isinstance(value, float) else str(value) for value in values
     ]
 
 
@@ -315,11 +300,12 @@ def write_report_table(
     ``total`` appends one extra row, labelled 'total', for a collective
     built from the listed profiles.
     """
-    width = len(REPORT_FIELDS) if include_kh else len(REPORT_FIELDS) - 1
-    rows = [report_cells(report)[:width] for report in reports]
+    fields = IndexReport._fields  # the id column is headed "no", and kh comes only on request
+    width = len(fields) if include_kh else len(fields) - 1
+    rows = [display_cells(report[:width]) for report in reports]
     if total is not None:
-        rows.append(["total", *report_cells(total)[1:width]])
-    return write_table(["no", *REPORT_FIELDS[1:width]], rows, fmt)
+        rows.append(["total", *display_cells(total[1:width])])
+    return write_table(["no", *fields[1:width]], rows, fmt)
 
 
 def write_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:

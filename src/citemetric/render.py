@@ -11,11 +11,11 @@ so that importing the CLI loads no ``xml`` module.
 from __future__ import annotations
 
 import math
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .collective import CollectiveProfile
 from .errors import EmptyProfileError
-from .indices import g_index_parabola, h_index, kh2, level_crossing, line_crossing
+from .indices import g_index_parabola, h_index, kh1_crossing, kh2, kh3_crossing, level_crossing
 from .ingest import write_table
 from .profile import CitationProfile
 
@@ -28,14 +28,13 @@ _PALETTE = (
 class Curve(NamedTuple):
     label: str
     vertices: tuple[tuple[float, float], ...]
-    dashed: bool = False
+    dashed: bool = False  # a collective's pooled curve
 
 
 class Marker(NamedTuple):
-    label: str
     kind: str  # h, kh1, kh2, kh3 or g
     point: tuple[float, float]
-    curve: int  # index of its curve in PlotSpec.curves, which sets its colour
+    curve: int  # index of its curve in PlotSpec.curves, which sets its label and colour
 
 
 class GuideLine(NamedTuple):
@@ -51,18 +50,17 @@ class PlotSpec(NamedTuple):
 
 
 def _profile_markers(profile: CitationProfile, curve: int, include_g: bool) -> list[Marker]:
-    label = profile.author_id
     h = h_index(profile)
-    markers = [Marker(label, "h", (float(h), float(profile.vertex(h))), curve)]
+    markers = [Marker("h", (float(h), float(profile.vertex(h))), curve)]
     for kind, point in (
-        ("kh1", line_crossing(profile, profile.c_s)),
+        ("kh1", kh1_crossing(profile)),
         ("kh2", level_crossing(profile, kh2(profile))),  # pinned at (1, c_max) when kh2 > c_max
-        ("kh3", line_crossing(profile, math.sqrt(profile.c_sigma))),
+        ("kh3", kh3_crossing(profile)),
     ):
-        markers.append(Marker(label, kind, (point.r_star, point.c_star), curve))
+        markers.append(Marker(kind, (point.r_star, point.c_star), curve))
     if include_g:
         rank = math.isqrt(g_index_parabola(profile))
-        markers.append(Marker(label, "g", (float(rank), float(profile.vertex(rank))), curve))
+        markers.append(Marker("g", (float(rank), float(profile.vertex(rank))), curve))
     return markers
 
 
@@ -72,25 +70,24 @@ def build_plot_spec(
     guides: bool = False,
     include_g: bool = False,
     log_y: bool = False,
-    dashed: Collection[str] = (),
 ) -> PlotSpec:
     """One curve per profile with its index markers.
 
-    Collectives plot their pooled profile.  Profiles without cited works
-    are skipped; if nothing is left there is nothing to plot.  Labels in
-    ``dashed`` get a dashed curve stroke.
+    Collectives plot their pooled profile, with a dashed stroke.  Profiles
+    without cited works are skipped; if nothing is left there is nothing to
+    plot.
     """
-    profiles = [item.merged if isinstance(item, CollectiveProfile) else item for item in items]
-    profiles = [p for p in profiles if p.r >= 1]
-    if not profiles:
+    plotted = [(item.merged, True) if isinstance(item, CollectiveProfile) else (item, False) for item in items]
+    plotted = [(profile, dashed) for profile, dashed in plotted if profile.r >= 1]
+    if not plotted:
         raise EmptyProfileError("nothing to plot: no profile has cited works")
     curves = []
     markers: list[Marker] = []
     guide_lines: list[GuideLine] = []
-    for curve, profile in enumerate(profiles):
+    for curve, (profile, dashed) in enumerate(plotted):
         # a list comprehension, as tuple() of a generator is slower on long curves
         vertices = tuple([(float(rank), float(profile.vertex(rank))) for rank in range(1, profile.r + 2)])
-        curves.append(Curve(profile.author_id, vertices, dashed=profile.author_id in dashed))
+        curves.append(Curve(profile.author_id, vertices, dashed))
         markers.extend(_profile_markers(profile, curve, include_g))
         if guides:
             guide_lines.append(GuideLine(f"{profile.author_id}:unit", 1.0))
@@ -251,7 +248,7 @@ def render_svg(spec: PlotSpec) -> bytes:
     for marker in spec.markers:
         color = _PALETTE[marker.curve % len(_PALETTE)]
         px, py = sx(marker.point[0]), sy(marker.point[1])
-        attrs = f'class="marker marker-{marker.kind}" data-label={quoteattr(marker.label)}'
+        attrs = f'class="marker marker-{marker.kind}" data-label={quoteattr(spec.curves[marker.curve].label)}'
         if marker.kind == "h":
             pts = f"{_fmt(px)},{_fmt(py - 5)} {_fmt(px - 4.5)},{_fmt(py + 3.5)} {_fmt(px + 4.5)},{_fmt(py + 3.5)}"
             parts.append(f'<polygon {attrs} points="{pts}" fill="{color}"/>')
@@ -283,7 +280,8 @@ def write_points_csv(spec: PlotSpec) -> str:
         for x, c in curve.vertices:
             rows.append([curve.label, "curve", f"{x:.10g}", f"{c:.10g}"])
     for marker in spec.markers:
-        rows.append([marker.label, marker.kind, f"{marker.point[0]:.10g}", f"{marker.point[1]:.10g}"])
+        x, c = marker.point
+        rows.append([spec.curves[marker.curve].label, marker.kind, f"{x:.10g}", f"{c:.10g}"])
     for guide in spec.guide_lines:
         x_end = min(x_data, y_data / guide.slope)
         rows.append([guide.label, "guide", "0", "0"])

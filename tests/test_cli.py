@@ -45,7 +45,8 @@ def test_compute_csv_output(tmp_path, capsys):
 
 
 def test_compute_reads_stdin_dash(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"author_id": "s", "citations": [4]}'))
+    stdin = io.TextIOWrapper(io.BytesIO(b'{"author_id": "s", "citations": [4]}'), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["compute", "-"]) == 0
     assert "kh1: 4.0\n" in capsys.readouterr().out
 
@@ -408,7 +409,9 @@ def test_cli_import_loads_no_xml_or_network_modules():
         "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'dataclasses', 'inspect')"
         " if m in sys.modules))"
     )
-    child = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, encoding="utf-8", check=True
+    )
     assert child.stdout == "[]\n"
 
 
@@ -452,14 +455,32 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
     assert expected in output
 
 
+@pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
+def test_compute_reads_stdin_as_utf8_whatever_the_stdio_encoding(tmp_path, encoding):
+    def compute(data):
+        env = {"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
+        return subprocess.run(
+            [sys.executable, "-m", "citemetric.cli", "compute", "-"], input=data, env=env, capture_output=True
+        )
+
+    good = compute('{"author_id": "\u00e9", "citations": [1]}'.encode("utf-8"))
+    assert good.returncode == 0, good.stderr
+    assert good.stdout.startswith("author_id: \u00e9\n".encode("utf-8"))
+    bad = compute(b'{"author_id":"\xff","citations":[1]}')
+    assert bad.returncode == 1
+    assert bad.stdout == b""
+    assert bad.stderr.startswith(b"error: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 14")
+    assert len(bad.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, byte",
     [
-        pytest.param(("merge", "\udcff.csv", "--label", "\udcfe", "-o", "m.json"), id="label"),
-        pytest.param(("merge", "\udcff.csv", "-o", "m.json"), id="file-name"),
+        pytest.param(("merge", "\udcff.csv", "--label", "\udcfe", "-o", "m.json"), b"0xfe", id="label"),
+        pytest.param(("merge", "\udcff.csv", "-o", "m.json"), b"0xff", id="file-name"),
     ],
 )
-def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args):
+def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args, byte):
     # a JSON document holding the bytes \xfe or \xff could not be read back by any command
     (tmp_path / "\udcff.csv").write_text("citations\n3\n1\n", encoding="utf-8")
     child = subprocess.run(
@@ -470,7 +491,7 @@ def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args):
     )
     assert child.returncode == 1
     assert child.stdout == b""
-    assert child.stderr.startswith(b"error: author_id has a lone surrogate at position 0")
+    assert child.stderr.startswith(b"error: author_id holds the byte " + byte + b" at position 0, which is not UTF-8")
     assert len(child.stderr.splitlines()) == 1
     assert not (tmp_path / "m.json").exists()
 

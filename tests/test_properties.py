@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 import math
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citemetric import (
@@ -13,6 +16,8 @@ from citemetric import (
     build_plot_spec,
     build_profile,
     c_k,
+    collective_report,
+    format_real,
     g_index_egghe,
     g_index_parabola,
     h_index,
@@ -30,7 +35,7 @@ from citemetric import (
 )
 from citemetric.errors import ParseError, ValidationError
 from citemetric.ingest import _BLOCK, parse_profile_csv, parse_profile_json
-from citemetric.indices import compute_report
+from citemetric.indices import compute_report, kh1_crossing, kh3_crossing
 from citemetric.profile import MAX_COUNT, check_career_years, check_counts, from_sorted
 from oracles import (
     brute_c_k,
@@ -189,9 +194,94 @@ def test_markers_sit_on_their_curves(groups):
     profiles = {f"{name}{i}": build_profile(f"{name}{i}", counts) for i, (name, counts) in enumerate(groups)}
     spec = build_plot_spec(list(profiles.values()), include_g=True)
     for marker in spec.markers:
-        profile = profiles[marker.label]
+        profile = profiles[spec.curves[marker.curve].label]
         x = min(marker.point[0], float(profile.r + 1))
         assert abs(profile.citation_at(x) - marker.point[1]) <= 1e-9 * max(1, profile.c_max)
+
+
+def _exact_ray_crossing(counts, slope: Fraction) -> tuple[Fraction, Fraction]:
+    """Where c = slope * x meets the extended curve, by a linear scan over its segments in exact arithmetic."""
+    cited = sorted((c for c in counts if c > 0), reverse=True)
+    points = [(0, cited[0]), *enumerate(cited, start=1), (len(cited) + 1, 0)]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        above0, above1 = y0 - slope * x0, y1 - slope * x1  # height of the curve over the ray
+        if above1 <= 0:
+            x = x0 + (x1 - x0) * above0 / (above0 - above1)
+            return x, slope * x
+    raise AssertionError("the ray must cross the closed curve")
+
+
+def _half_up(value: Fraction) -> str:
+    tenths = math.floor(value * 10 + Fraction(1, 2))
+    return f"{tenths // 10}.{tenths % 10}"
+
+
+def _square_total(counts):
+    """The counts plus one work that lifts the total to the next perfect square."""
+    root = math.isqrt(sum(counts)) + 1
+    return [*counts, root * root - sum(counts)]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=0, max_value=2**53), max_size=30), st.booleans())
+def test_kh1_and_kh3_crossings_are_the_exact_crossings_rounded_once(counts, square):
+    counts = _square_total(counts) if square else counts
+    assume(any(counts))
+    p = build_profile("a", counts)
+    x, c = _exact_ray_crossing(counts, Fraction(p.c_sigma, p.r))
+    assert kh1_crossing(p) == (float(x), float(c))
+    root = math.isqrt(p.c_sigma)
+    if root * root == p.c_sigma:
+        x, c = _exact_ray_crossing(counts, Fraction(root))
+        assert kh3_crossing(p) == (float(x), float(c))
+
+
+@settings(max_examples=300)
+@example([95, 16, 12], False)  # kh1 = 1189/20 = 59.45
+@example([351, 167, 122, 89], False)  # c_sigma = 27**2, kh3 = 1989/20 = 99.45
+@given(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=8), st.booleans())
+def test_kh1_and_kh3_display_the_exact_crossing_rounded_half_up(counts, square):
+    counts = _square_total(counts) if square else counts
+    p = build_profile("a", counts)
+    assert format_real(kh1(p)) == _half_up(_exact_ray_crossing(counts, Fraction(p.c_sigma, p.r))[1])
+    root = math.isqrt(p.c_sigma)
+    if root * root == p.c_sigma:
+        assert format_real(kh3(p)) == _half_up(_exact_ray_crossing(counts, Fraction(root))[1])
+
+
+def _reference_cells(report):
+    """Every report field as display text, formatted field by field."""
+    return [
+        report.author_id,
+        str(report.r0),
+        str(report.r),
+        str(report.c_sigma),
+        str(report.c10),
+        str(report.c_max),
+        format_real(report.c_s),
+        str(report.h),
+        str(report.g),
+        "-" if report.m is None else format_real(report.m),
+        str(report.i10),
+        format_real(report.kh1),
+        format_real(report.kh2),
+        format_real(report.kh3),
+        format_real(report.kh),
+    ]
+
+
+@given(
+    st.lists(st.lists(st.integers(min_value=0, max_value=2**53), max_size=20), min_size=1, max_size=3),
+    st.none() | st.integers(min_value=1, max_value=80),
+)
+def test_report_table_rows_format_each_field(groups, years):
+    profiles = [build_profile(f"a{i}", counts, years) for i, counts in enumerate(groups)]
+    reports = [compute_report(profile) for profile in profiles]
+    total = collective_report(merge_profiles(profiles, label="total"))
+    text = write_report_table(reports, "csv", include_kh=True, total=total)
+    header = ["no", "r0", "r", "c_sigma", "c10", "c_max", "c_s", "h", "g", "m", "i10", "kh1", "kh2", "kh3", "kh"]
+    rows = [_reference_cells(report) for report in reports] + [["total", *_reference_cells(total)[1:]]]
+    assert list(csv.reader(io.StringIO(text))) == [header, *rows]
 
 
 json_trees = st.recursive(

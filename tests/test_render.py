@@ -88,6 +88,13 @@ def test_collectives_plot_their_pooled_profile():
     assert spec.curves[0].vertices[0] == (1.0, 3.0)
 
 
+def test_only_collectives_are_dashed():
+    # a plain profile may carry the collective's label as its id; it is still drawn solid
+    a, team = build_profile("a", [5, 1]), build_profile("team", [3])
+    spec = build_plot_spec([a, team, merge_profiles([a], label="team")])
+    assert [(curve.label, curve.dashed) for curve in spec.curves] == [("a", False), ("team", False), ("team", True)]
+
+
 def test_svg_structure_counts():
     profile = build_profile("a", [7, 1])
     svg = render_svg(build_plot_spec([profile], guides=True))
@@ -116,8 +123,8 @@ def test_svg_is_deterministic():
 
 
 def test_dashed_curves():
-    profiles = [build_profile("a", [5]), build_profile("b", [3])]
-    svg = render_svg(build_plot_spec(profiles, dashed={"b"})).decode()
+    a, b = build_profile("a", [5]), build_profile("b", [3])
+    svg = render_svg(build_plot_spec([a, merge_profiles([a, b], label="ab")])).decode()
     assert svg.count("stroke-dasharray") == 1
 
 
@@ -159,7 +166,7 @@ def test_points_csv_lists_curves_markers_and_guides():
 def _merged_pair_spec():
     a, b = build_profile("a", [9, 3, 1]), build_profile("b", [4, 4, 2, 0])
     items = [a, b, merge_profiles([a, b], label="merged")]
-    return build_plot_spec(items, guides=True, include_g=True, dashed={"merged"})
+    return build_plot_spec(items, guides=True, include_g=True)
 
 
 def _pareto_pair_spec(log_y=False):
@@ -170,7 +177,7 @@ def _pareto_pair_spec(log_y=False):
         for label in ("a", "b")
     )
     items = [a, b, merge_profiles([a, b], label="merged")]
-    return build_plot_spec(items, guides=True, include_g=True, log_y=log_y, dashed={"merged"})
+    return build_plot_spec(items, guides=True, include_g=True, log_y=log_y)
 
 
 @pytest.mark.parametrize(
