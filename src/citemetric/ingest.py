@@ -284,7 +284,7 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
 def display_cells(values: Iterable[object]) -> list[str]:
     """A row as display text: reals half-up through ``format_real``, None as '-', the rest by str()."""
     return [
-        "-" if value is None else format_real(value) if isinstance(value, float) else str(value) for value in values
+        format_real(value) if value is None or isinstance(value, float) else str(value) for value in values
     ]
 
 

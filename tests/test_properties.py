@@ -261,7 +261,7 @@ def _reference_cells(report):
         format_real(report.c_s),
         str(report.h),
         str(report.g),
-        "-" if report.m is None else format_real(report.m),
+        format_real(report.m),
         str(report.i10),
         format_real(report.kh1),
         format_real(report.kh2),
