@@ -462,7 +462,7 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
 
 
 @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
-def test_compute_reads_stdin_as_utf8_whatever_the_stdio_encoding(tmp_path, encoding):
+def test_compute_reads_stdin_as_utf8_whatever_the_stdio_encoding(encoding):
     def compute(data):
         env = {"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
         return subprocess.run(
