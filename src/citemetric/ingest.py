@@ -174,7 +174,8 @@ def parse_profile(
 ) -> ProfileDocument:
     """Parse a profile from a path or an open stream.
 
-    Bytes, from a path or a binary stream, are decoded as strict UTF-8.
+    Bytes, from a path or a binary stream, are decoded as strict UTF-8,
+    and one leading byte order mark, as spreadsheets write, is dropped.
     The format is inferred from the path suffix unless given; streams
     need an explicit format, and CSV streams an explicit author id.
     """
@@ -193,6 +194,7 @@ def parse_profile(
             text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}") from None
+    text = text.removeprefix("\ufeff")  # not the utf-8-sig codec, whose decoder runs in Python
     if fmt == "json":
         return parse_profile_json(text)
     if fmt == "csv":
@@ -308,6 +310,11 @@ def write_report_table(
     return write_table(["no", *fields[1:width]], rows, fmt)
 
 
+def _md_cell(cell: str) -> str:
+    """A markdown table cell: a pipe escaped, so that it ends no cell, and a line break as <br>."""
+    return cell.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+
+
 def write_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
     """Render a header and rows of text cells as CSV or markdown."""
     if fmt == "csv":
@@ -321,6 +328,6 @@ def write_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) 
             "| " + " | ".join(header) + " |",
             "| " + " | ".join("---" for _ in header) + " |",
         ]
-        lines.extend("| " + " | ".join(row) + " |" for row in rows)
+        lines.extend("| " + " | ".join(map(_md_cell, row)) + " |" for row in rows)
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown table format: {fmt!r}")

@@ -27,8 +27,13 @@ _PALETTE = (
 
 class Curve(NamedTuple):
     label: str
-    vertices: tuple[tuple[float, float], ...]
+    ordinates: tuple[int, ...]  # C(1) … C(r + 1): the cited works' counts, then the closing 0
     dashed: bool = False  # a collective's pooled curve
+
+    @property
+    def vertices(self) -> tuple[tuple[int, int], ...]:
+        """The vertices (j, C(j)) for j = 1 … r + 1."""
+        return tuple(zip(range(1, len(self.ordinates) + 1), self.ordinates))
 
 
 class Marker(NamedTuple):
@@ -85,9 +90,8 @@ def build_plot_spec(
     markers: list[Marker] = []
     guide_lines: list[GuideLine] = []
     for curve, (profile, dashed) in enumerate(plotted):
-        # a list comprehension, as tuple() of a generator is slower on long curves
-        vertices = tuple([(float(rank), float(profile.vertex(rank))) for rank in range(1, profile.r + 2)])
-        curves.append(Curve(profile.author_id, vertices, dashed))
+        ordinates = profile.counts[: profile.r] + (profile.vertex(profile.r + 1),)
+        curves.append(Curve(profile.author_id, ordinates, dashed))
         markers.extend(_profile_markers(profile, curve, include_g))
         if guides:
             guide_lines.append(GuideLine(f"{profile.author_id}:unit", 1.0))
@@ -99,6 +103,10 @@ def build_plot_spec(
         guide_lines=tuple(guide_lines),
         log_y=log_y,
     )
+
+
+# code points that XML 1.0 allows nowhere, not even as a character reference
+_NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
 
 
 def _nice_step(span: float, target: int = 6) -> float:
@@ -135,9 +143,10 @@ def render_svg(spec: PlotSpec) -> bytes:
     ml, mr, mt, mb = 62.0, 24.0, 24.0, 48.0
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
-    x_data = max(x for curve in spec.curves for x, _ in curve.vertices)
+    # ranks and counts are ints of at most 2**53, which divide, format and log10 as their floats do
+    x_data = max(len(curve.ordinates) for curve in spec.curves)
     # a long curve repeats few distinct counts, so each ordinate is formatted once
-    y_values = {c for curve in spec.curves for _, c in curve.vertices}
+    y_values = set().union(*(curve.ordinates for curve in spec.curves))
     y_data = max(y_values)
     x_step = _nice_step(x_data)
     x_max = x_step * math.ceil(x_data / x_step)
@@ -157,6 +166,9 @@ def render_svg(spec: PlotSpec) -> bytes:
         else:
             frac = c / y_max
         return mt + plot_h * (1.0 - frac)
+
+    # labels may hold any code point; those XML forbids are written as U+FFFD
+    labels = [curve.label.translate(_NOT_XML) for curve in spec.curves]
 
     # built in full before the path loop: filled inside it, the table's strings land among
     # the loop's short-lived ones and keep their freed memory from being reused
@@ -222,7 +234,7 @@ def render_svg(spec: PlotSpec) -> bytes:
     for guide in spec.guide_lines:
         x_end = min(x_max, y_max / guide.slope)
         parts.append(
-            f'<line class="guide" data-label={quoteattr(guide.label)} '
+            f'<line class="guide" data-label={quoteattr(guide.label.translate(_NOT_XML))} '
             f'x1="{_fmt(sx(0.0))}" y1="{_fmt(sy(0.0))}" '
             f'x2="{_fmt(sx(x_end))}" y2="{_fmt(sy(guide.slope * x_end))}" '
             f'stroke="#999999" stroke-width="0.8"/>'
@@ -232,23 +244,23 @@ def render_svg(spec: PlotSpec) -> bytes:
     for i, curve in enumerate(spec.curves):
         color = _PALETTE[i % len(_PALETTE)]
         # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
-        points = " L ".join([f"{ml + (x / x_max) * plot_w:.2f} {y_text[c]}" for x, c in curve.vertices])
+        vertices = zip(range(1, len(curve.ordinates) + 1), curve.ordinates)
+        points = " L ".join([f"{ml + (x / x_max) * plot_w:.2f} {y_text[c]}" for x, c in vertices])
         dash = ' stroke-dasharray="7 4"' if curve.dashed else ""
         parts.append(
-            f'<path class="curve" data-label={quoteattr(curve.label)} d="M {points}" '
+            f'<path class="curve" data-label={quoteattr(labels[i])} d="M {points}" '
             f'fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
-        lx, lc = curve.vertices[0]
         parts.append(
-            f'<text x="{_fmt(sx(lx) + 5)}" y="{_fmt(sy(lc) - 5)}" font-family="sans-serif" '
-            f'font-size="11" fill="{color}">{escape(curve.label)}</text>'
+            f'<text x="{_fmt(sx(1) + 5)}" y="{_fmt(sy(curve.ordinates[0]) - 5)}" font-family="sans-serif" '
+            f'font-size="11" fill="{color}">{escape(labels[i])}</text>'
         )
 
     # markers
     for marker in spec.markers:
         color = _PALETTE[marker.curve % len(_PALETTE)]
         px, py = sx(marker.point[0]), sy(marker.point[1])
-        attrs = f'class="marker marker-{marker.kind}" data-label={quoteattr(spec.curves[marker.curve].label)}'
+        attrs = f'class="marker marker-{marker.kind}" data-label={quoteattr(labels[marker.curve])}'
         if marker.kind == "h":
             pts = f"{_fmt(px)},{_fmt(py - 5)} {_fmt(px - 4.5)},{_fmt(py + 3.5)} {_fmt(px + 4.5)},{_fmt(py + 3.5)}"
             parts.append(f'<polygon {attrs} points="{pts}" fill="{color}"/>')
@@ -273,11 +285,11 @@ def render_svg(spec: PlotSpec) -> bytes:
 
 def write_points_csv(spec: PlotSpec) -> str:
     """Flatten a plot spec to rows of label,kind,r,c."""
-    x_data = max(x for curve in spec.curves for x, _ in curve.vertices)
-    y_data = max(c for curve in spec.curves for _, c in curve.vertices)
+    x_data = max(len(curve.ordinates) for curve in spec.curves)
+    y_data = max(max(curve.ordinates) for curve in spec.curves)
     rows = []
     for curve in spec.curves:
-        for x, c in curve.vertices:
+        for x, c in zip(range(1, len(curve.ordinates) + 1), curve.ordinates):
             rows.append([curve.label, "curve", f"{x:.10g}", f"{c:.10g}"])
     for marker in spec.markers:
         x, c = marker.point

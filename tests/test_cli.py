@@ -2,9 +2,11 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -531,3 +533,46 @@ def test_unusable_label_fails_with_one_diagnostic(tmp_path, capsys, monkeypatch,
     assert captured.err.startswith(f"error: {message}")
     assert len(captured.err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["table", "compare"])
+def test_markdown_cells_escape_pipes_and_line_breaks(tmp_path, capsys, command):
+    paths = [
+        _write_json(tmp_path / "p.json", "a|b", [3, 1], source="a|b"),
+        _write_json(tmp_path / "q.json", "line\nbreak", [2], source="line\nbreak"),
+    ]
+    args = ["table", str(tmp_path)] if command == "table" else ["compare", *paths]
+    assert main([*args, "--format", "md"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == 2 + len(paths) + (command == "compare")  # header, rule, one line per row
+    pipes = [len(re.findall(r"(?<!\\)\|", line)) for line in lines]
+    assert pipes == [pipes[0]] * len(lines)
+    assert any(line.startswith("| a\\|b |") for line in lines)
+    assert any(line.startswith("| line<br>break |") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        pytest.param("bom.json", '{"author_id": "bom", "citations": [3, 1]}', id="json"),
+        pytest.param("bom.csv", "citations\n3\n1\n", id="csv"),
+        pytest.param("-", '{"author_id": "bom", "citations": [3, 1]}', id="stdin"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, name, data):
+    raw = ("\ufeff" + data).encode("utf-8")
+    if name == "-":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    else:
+        (tmp_path / name).write_bytes(raw)
+    assert main(["compute", name if name == "-" else str(tmp_path / name), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("bom,2,2,4,")
+
+
+def test_plot_of_an_id_with_a_control_character_is_well_formed(tmp_path):
+    a = _write_json(tmp_path / "a.json", "ctl\u0001", [3, 1])
+    out = tmp_path / "a.svg"
+    assert main(["plot", a, "--guides", "-o", str(out)]) == 0
+    root = ElementTree.fromstring(out.read_bytes())
+    assert root.find("{http://www.w3.org/2000/svg}path").get("data-label") == "ctl\ufffd"

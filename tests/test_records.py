@@ -12,7 +12,7 @@ from citemetric.render import Curve, GuideLine, Marker, PlotSpec
 
 _PROFILE = dict(author_id="a", counts=(3, 1, 0), career_years=None, r0=3, r=2, c_sigma=4, c_max=3, c_s=2.0)
 _DOCUMENT = dict(author_id="a", citations=(3, 1, 0))
-_CURVE = dict(label="a", vertices=((1.0, 3.0), (2.0, 1.0), (3.0, 0.0)))
+_CURVE = dict(label="a", ordinates=(3, 1, 0))
 _MARKER = dict(kind="h", point=(1.0, 3.0), curve=0)
 _GUIDE = dict(label="a:unit", slope=1.0)
 

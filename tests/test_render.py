@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from citemetric import (
@@ -231,6 +231,19 @@ def _pareto_pair_spec(log_y=False):
             "f4ece5d55506047d9ebbff947b7b56a34f2a8a7ecf5f1fe0c501b21aaf052fa4",
             id="pareto-pair-log-y",
         ),
+        # counts at 2**53, where an int and its float still divide, format and log10 alike
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a", [2**53, 2**53 - 1, 3, 0])]),
+            "605a4cb1a2c84e0cf79e8bcc7f0c3f51e0201edec7263238a5c7cabc9e32cb9e",
+            "39689483a8a1ea77d70f86968d0c0893797e417b2dcffadd2d6a88ff0f14a6f9",
+            id="largest-counts-linear",
+        ),
+        pytest.param(
+            lambda: build_plot_spec([build_profile("a", [2**53, 2**53 - 1, 3, 0])], log_y=True),
+            "cc3cff75665f04d8d5ffa6e7d6d87275c9c56f728b903796904d3d97e6e6bace",
+            "39689483a8a1ea77d70f86968d0c0893797e417b2dcffadd2d6a88ff0f14a6f9",
+            id="largest-counts-log-y",
+        ),
     ],
 )
 def test_plot_output_bytes_are_pinned(make_spec, svg_sha256, csv_sha256):
@@ -244,3 +257,37 @@ def test_plot_output_bytes_are_pinned(make_spec, svg_sha256, csv_sha256):
 def test_escaping_matches_the_standard_library(text):
     assert render.escape(text) == saxutils.escape(text)
     assert render.quoteattr(text) == saxutils.quoteattr(text)
+
+
+_counts = st.lists(st.integers(0, 2**53), min_size=1, max_size=20)
+
+
+@given(st.lists(_counts, min_size=1, max_size=3), st.booleans())
+def test_curves_plot_their_integer_vertices_as_the_float_ones(count_lists, log_y):
+    profiles = [build_profile(f"p{i}", counts) for i, counts in enumerate(count_lists)]
+    plotted = [p for p in profiles if p.r >= 1]
+    assume(plotted)
+    spec = build_plot_spec(plotted, guides=True, log_y=log_y)
+    for curve, p in zip(spec.curves, plotted):
+        assert curve.vertices == tuple((float(j), float(p.vertex(j))) for j in range(1, p.r + 2))
+    # the same curves given float ordinates draw the same bytes
+    floats = spec._replace(
+        curves=tuple(curve._replace(ordinates=tuple(map(float, curve.ordinates))) for curve in spec.curves)
+    )
+    assert render_svg(floats) == render_svg(spec)
+    assert write_points_csv(floats) == write_points_csv(spec)
+
+
+# the C0 controls, DEL, U+FFFE and U+FFFF, which st.characters() seldom draws
+_CONTROLS = [chr(c) for c in (*range(0x20), 0x7F, 0xFFFE, 0xFFFF)]
+
+
+@given(st.text(st.one_of(st.sampled_from(_CONTROLS), st.characters(blacklist_categories=("Cs",))), min_size=1))
+def test_svg_is_well_formed_for_any_label(label):
+    spec = build_plot_spec([build_profile(label, [3, 1])], guides=True, include_g=True)
+    root = ElementTree.fromstring(render_svg(spec))
+    shown = re.sub(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", "\ufffd", label)
+    labels = {element.get("data-label") for element in root if element.get("class") != "guide"} - {None}
+    assert labels == {shown}
+    guides = [element.get("data-label") for element in root if element.get("class") == "guide"]
+    assert guides == [f"{shown}:unit", f"{shown}:mean", f"{shown}:sqrt-total"]
