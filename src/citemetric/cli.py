@@ -129,12 +129,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list[list[str]]]:
     header = ["source", "r0", "r", "c_sigma", "mean_per_work", "mean_per_cited", "h", "i10"]
-    columns: list[list[float | None]] = [[] for _ in range(len(header) - 1)]
+    value_rows: list[list[float | None]] = []  # one per document
     rows: list[list[str]] = []
     for doc in documents:
-        profile = doc.to_profile()
-        report = compute_report(profile)
-        values: list[float | None] = [
+        report = compute_report(doc.to_profile())
+        values = [
             report.r0,
             report.r,
             report.c_sigma,
@@ -143,16 +142,13 @@ def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list
             report.h,
             report.i10,
         ]
-        for column, value in zip(columns, values):
-            column.append(value)
+        value_rows.append(values)
         rows.append([doc.source or doc.author_id, *display_cells(values)])
-    ratio = ["max/min"]
-    for column in columns:
-        if any(value is None for value in column) or min(column) <= 0:  # type: ignore[type-var]
-            ratio.append("-")
-        else:
-            ratio.append(format_real(max(column) / min(column)))  # type: ignore[arg-type]
-    rows.append(ratio)
+    ratio = [
+        "-" if None in column or min(column) <= 0 else format_real(max(column) / min(column))
+        for column in zip(*value_rows)
+    ]
+    rows.append(["max/min", *ratio])
     return header, rows
 
 

@@ -43,26 +43,17 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     zero (the constant extension holds C at c_max there) and negative at
     r + 1, so exactly one crossing exists.  A ray at least as steep as
     c_max meets the curve inside the constant extension, which caps the
-    crossing ordinate at c_max.
+    crossing ordinate at c_max.  The crossing is found at the slope's exact
+    value, its ``as_integer_ratio()``, and rounded once.
     """
-    if profile.r == 0:
-        raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works")
     if not slope > 0:
         raise DomainError(f"slope must be positive, got {slope!r}")
-    if slope >= profile.c_max:
-        return CrossingPoint(r_star=profile.c_max / slope, c_star=float(profile.c_max))
-    # The first vertex on or below the ray closes the crossing segment (k, k + 1].
-    # Rank 1 lies above the ray (slope < c_max) even where float(c_max) rounds onto it.
-    k = first_vertex(profile, lambda j, c: j > 1 and c - slope * j <= 0.0) - 1
-    here = profile.vertex(k)
-    nxt = profile.vertex(k + 1)
-    seg = nxt - here  # segment slope, <= 0
-    x = (here - seg * k) / (slope - seg)
-    return CrossingPoint(r_star=x, c_star=slope * x)
+    # an infinite slope is the ratio 1 / 0, which the clamp takes as any steep ray
+    return _rational_ray_crossing(profile, *((1, 0) if slope == math.inf else slope.as_integer_ratio()))
 
 
 def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> CrossingPoint:
-    """``line_crossing`` for the rational slope p / q > 0, in integers.
+    """The crossing with the ray of slope p / q > 0, in integers.
 
     The crossing segment is C(x) = num + seg * x, so each coordinate is one
     correctly rounded int / int division, and a crossing exactly on a display
@@ -72,6 +63,7 @@ def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> Crossing
         raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works")
     if p >= profile.c_max * q:
         return CrossingPoint(r_star=profile.c_max * q / p, c_star=float(profile.c_max))
+    # The first vertex on or below the ray closes the crossing segment (k, k + 1].
     k = first_vertex(profile, lambda j, c: c * q <= p * j) - 1
     here = profile.vertex(k)
     seg = profile.vertex(k + 1) - here
@@ -87,10 +79,10 @@ def kh1_crossing(profile: CitationProfile) -> CrossingPoint:
 
 def kh3_crossing(profile: CitationProfile) -> CrossingPoint:
     """Crossing with the ray of slope sqrt(c_sigma), exact when c_sigma is a perfect square."""
-    root = math.isqrt(profile.c_sigma)
+    root = math.isqrt(profile.c_sigma)  # not math.sqrt, which rounds c_sigma above 2**53
     if root * root == profile.c_sigma:
         return _rational_ray_crossing(profile, root, 1)
-    return line_crossing(profile, math.sqrt(profile.c_sigma))  # irrational: no exact display tie
+    return _rational_ray_crossing(profile, *math.sqrt(profile.c_sigma).as_integer_ratio())  # irrational
 
 
 def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:

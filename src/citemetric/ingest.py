@@ -15,8 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from stat import S_ISREG
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
@@ -259,10 +261,10 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
 def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanResult:
     """Parse every *.json and *.csv profile in a directory.
 
-    Files that fail to read or parse are collected as failures instead
-    of aborting the batch.  Documents come back sorted by author id.
-    ``skip`` is a path left out of the scan, such as the table written
-    from it, which the next scan would otherwise read as a profile.
+    Files that fail to read or parse, and entries that are not regular files,
+    which are never opened, are collected as failures instead of aborting the
+    batch.  Documents come back sorted by author id.  ``skip`` is a path left
+    out, such as the table written from the scan, which would be read back.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -270,13 +272,19 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
     skip_name = None
     if skip is not None and Path(skip).parent.resolve() == directory.resolve():
         skip_name = Path(skip).name
+    with os.scandir(directory) as listing:
+        entries = [entry for entry in listing if entry.name.endswith((".json", ".csv")) and entry.name != skip_name]
+    entries.sort(key=lambda entry: (entry.name.endswith(".csv"), entry.name))  # *.json, then *.csv
     documents: list[ProfileDocument] = []
     failures: list[ScanFailure] = []
-    for file in sorted(directory.glob("*.json")) + sorted(directory.glob("*.csv")):
-        if file.name == skip_name:
-            continue
+    for entry in entries:
+        file = directory / entry.name
         try:
-            documents.append(parse_profile(file))
+            # the listing's file type costs no system call; stat follows a symlink, raising as open would
+            if entry.is_file(follow_symlinks=False) or S_ISREG(file.stat().st_mode):
+                documents.append(parse_profile(file))
+            else:
+                failures.append(ScanFailure(path=file, error="not a regular file"))
         except (ParseError, ValidationError, OSError) as exc:
             failures.append(ScanFailure(path=file, error=str(exc)))
     documents.sort(key=lambda doc: doc.author_id)

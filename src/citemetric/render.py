@@ -105,12 +105,13 @@ def build_plot_spec(
     )
 
 
-# code points that XML 1.0 allows nowhere, not even as a character reference
-_NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+# code points that XML 1.0 allows nowhere, not even as a character reference, and the
+# surrogates, which UTF-8 cannot encode: U+DC80 to U+DCFF stand for the bytes of a non-UTF-8 file name
+_NOT_XML = dict.fromkeys([*range(9), 0xB, 0xC, *range(0xE, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")
 
 
-def _nice_step(span: float, target: int = 6) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    raw = span / 6  # about six ticks
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mult * magnitude >= raw:
@@ -167,7 +168,7 @@ def render_svg(spec: PlotSpec) -> bytes:
             frac = c / y_max
         return mt + plot_h * (1.0 - frac)
 
-    # labels may hold any code point; those XML forbids are written as U+FFFD
+    # labels may hold any code point; those XML or UTF-8 cannot hold are written as U+FFFD
     labels = [curve.label.translate(_NOT_XML) for curve in spec.curves]
 
     # built in full before the path loop: filled inside it, the table's strings land among
@@ -280,7 +281,7 @@ def render_svg(spec: PlotSpec) -> bytes:
             )
 
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8", "surrogateescape")  # labels from non-UTF-8 file names
+    return ("\n".join(parts) + "\n").encode("utf-8")
 
 
 def write_points_csv(spec: PlotSpec) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -111,20 +112,34 @@ def test_table_reports_bad_files_but_finishes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "make_bad",
+    "make_bad, message",
     [
-        pytest.param(lambda path: path.mkdir(), id="directory"),
-        pytest.param(lambda path: path.write_bytes(b'{"author_id": "\xe9", "citations": [1]}'), id="not-utf8"),
+        pytest.param(lambda path: path.mkdir(), "not a regular file", id="directory"),
+        pytest.param(
+            lambda path: path.write_bytes(b'{"author_id": "\xe9", "citations": [1]}'), "not UTF-8 text", id="not-utf8"
+        ),
+        pytest.param(os.mkfifo, "not a regular file", id="fifo"),  # opening it would wait for a writer
+        pytest.param(lambda path: path.symlink_to(os.devnull), "not a regular file", id="devnull-symlink"),
+        pytest.param(lambda path: path.symlink_to("nowhere"), "[Errno 2] No such file or directory", id="dangling"),
+        pytest.param(lambda path: path.symlink_to(path.name), "[Errno 40] Too many levels", id="symlink-loop"),
     ],
 )
-def test_table_isolates_unreadable_entries(tmp_path, capsys, make_bad):
+def test_table_isolates_unreadable_entries(tmp_path, make_bad, message):
     _write_json(tmp_path / "good.json", "good", [4])
     make_bad(tmp_path / "x.json")
-    assert main(["table", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"error: {tmp_path / 'x.json'}: ")
-    assert any(row.startswith("good,") for row in captured.out.splitlines())
+    # in a child process, so that a scan that blocks on an entry fails the test instead of hanging it
+    child = subprocess.run(
+        [sys.executable, "-m", "citemetric.cli", "table", str(tmp_path)],
+        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert child.returncode == 1
+    assert len(child.stderr.splitlines()) == 1
+    assert child.stderr.startswith(f"error: {tmp_path / 'x.json'}: {message}")
+    assert any(row.startswith("good,") for row in child.stdout.splitlines())
 
 
 def test_compute_non_utf8_file_fails_with_diagnostic(tmp_path, capsys):
@@ -264,6 +279,39 @@ def test_compare_markdown(tmp_path, capsys):
     b = _write_json(tmp_path / "b.json", "w", [5], source="s2")
     assert main(["compare", a, b, "--format", "md"]) == 0
     assert capsys.readouterr().out.startswith("| source | r0 |")
+
+
+_COMPARE_ROWS = [
+    "source,r0,r,c_sigma,mean_per_work,mean_per_cited,h,i10",
+    "scholar,4,3,20,5.0,6.7,3,1",
+    "wos,{r0},0,0,{mean},-,0,0",
+    "ann,3,3,20,6.7,6.7,2,0",
+    "max/min,{ratio},-,-,-,-,-,-",
+]
+
+
+@pytest.mark.parametrize(
+    "citations, cells",
+    [
+        pytest.param([], dict(r0=0, mean="-", ratio="-"), id="zero-work"),
+        pytest.param([0, 0], dict(r0=2, mean="0.0", ratio="2.0"), id="uncited"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_compare_output_bytes_are_pinned(tmp_path, capsys, citations, cells, fmt):
+    """Three sources, one of them without works or without cited works: '-' cells and '-' ratios."""
+    a = _write_json(tmp_path / "a.json", "ann", [12, 5, 3, 0], source="scholar")
+    b = _write_json(tmp_path / "b.json", "ann", citations, source="wos")
+    c = tmp_path / "ann.csv"
+    c.write_text("citations\n9\n9\n2\n", encoding="utf-8")
+    assert main(["compare", a, b, str(c), "--format", fmt]) == 0
+    rows = [row.format(**cells).split(",") for row in _COMPARE_ROWS]
+    if fmt == "csv":
+        expected = "".join(",".join(row) + "\n" for row in rows)
+    else:
+        rows.insert(1, ["---"] * len(rows[0]))
+        expected = "".join("| " + " | ".join(row) + " |\n" for row in rows)
+    assert capsys.readouterr().out == expected
 
 
 def test_output_files_via_dash_o(tmp_path):
@@ -444,8 +492,8 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
     [
         pytest.param(("compute", "\udcff.csv"), None, b"author_id: \xff\n", id="compute-stdout"),
         pytest.param(("table", ".", "-o", "t.csv"), "t.csv", b"\n\xff,2,2,4,", id="table"),
-        pytest.param(
-            ("plot", "\udcff.csv", "--with-merged", "-o", "p.svg"), "p.svg", b'data-label="\xff"', id="plot"
+        pytest.param(  # the SVG is UTF-8 XML, so the byte is written as U+FFFD
+            ("plot", "\udcff.csv", "--with-merged", "-o", "p.svg"), "p.svg", b'data-label="\xef\xbf\xbd"', id="plot"
         ),
     ],
 )
@@ -461,6 +509,8 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
     assert child.returncode == 0, child.stderr
     output = (tmp_path / out_name).read_bytes() if out_name else child.stdout
     assert expected in output
+    if out_name == "p.svg":
+        ElementTree.fromstring(output)
 
 
 @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])

@@ -1,5 +1,8 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from citemetric import (
@@ -69,6 +72,14 @@ def test_crossing_rejects_bad_input():
         line_crossing(build_profile("a", [3]), 0.0)
     with pytest.raises(DomainError):
         line_crossing(build_profile("a", [3]), -2.0)
+
+
+def test_crossing_takes_any_slope_with_an_integer_ratio_at_its_exact_value():
+    p = build_profile("a", [46, 36, 28, 25, 23, 8, 6])
+    for slope in (3, np.float32(3.0), Fraction(3), Decimal(3)):
+        assert line_crossing(p, slope) == line_crossing(p, 3.0)
+    third = line_crossing(p, Fraction(1, 3))  # meets C(x) = 48 - 6x, from (7, 6) to (8, 0), at x = 144/19
+    assert third == (144 / 19, 48 / 19)
 
 
 def test_h_index_examples():

@@ -7,6 +7,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from citemetric import (
     write_profile,
     write_report_table,
 )
-from citemetric.errors import ParseError, ValidationError
+from citemetric.errors import DomainError, ParseError, ValidationError
 from citemetric.ingest import _BLOCK, parse_profile_csv, parse_profile_json
 from citemetric.indices import compute_report, kh1_crossing, kh3_crossing
 from citemetric.profile import MAX_COUNT, check_career_years, check_counts, from_sorted
@@ -234,6 +235,40 @@ def test_kh1_and_kh3_crossings_are_the_exact_crossings_rounded_once(counts, squa
     if root * root == p.c_sigma:
         x, c = _exact_ray_crossing(counts, Fraction(root))
         assert kh3_crossing(p) == (float(x), float(c))
+
+
+big_counts = st.lists(st.integers(min_value=0, max_value=2**53), max_size=30)
+# subnormal to far above any c_max, and ints, whose ratio is exact too
+slopes = st.one_of(st.floats(min_value=5e-324, max_value=2.0**60), st.integers(min_value=1, max_value=2**60))
+
+
+@settings(max_examples=300)
+@example([46, 36, 28, 25, 23, 8, 6], 2.162839019423509)  # a float search got the last bit of both wrong
+@given(big_counts, slopes)
+def test_line_crossing_is_the_exact_crossing_rounded_once(counts, slope):
+    assume(any(counts))
+    p = build_profile("a", counts)
+    x, c = _exact_ray_crossing(counts, Fraction(slope))
+    assert line_crossing(p, slope) == (float(x), float(c))
+
+
+@given(big_counts)
+def test_line_crossing_clamps_an_infinite_slope_and_rejects_nan(counts):
+    assume(any(counts))
+    p = build_profile("a", counts)
+    assert line_crossing(p, math.inf) == (0.0, float(p.c_max))
+    with pytest.raises(DomainError):
+        line_crossing(p, math.nan)
+
+
+@settings(max_examples=300)
+@given(big_counts)
+def test_kh3_crossing_at_a_non_square_total_is_the_exact_crossing_at_the_nearest_float_root(counts):
+    p = build_profile("a", counts)
+    root = math.isqrt(p.c_sigma)
+    assume(root * root != p.c_sigma)
+    x, c = _exact_ray_crossing(counts, Fraction(math.sqrt(p.c_sigma)))
+    assert kh3_crossing(p) == (float(x), float(c))
 
 
 @settings(max_examples=300)
