@@ -10,6 +10,7 @@ sqrt(c_sigma), and kh is the largest of the three.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 from .errors import DomainError, EmptyProfileError, MissingFieldError
@@ -44,12 +45,19 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     r + 1, so exactly one crossing exists.  A ray at least as steep as
     c_max meets the curve inside the constant extension, which caps the
     crossing ordinate at c_max.  The crossing is found at the slope's exact
-    value, its ``as_integer_ratio()``, and rounded once.
+    value and rounded once.  That value is ``int(slope)`` for an integer of
+    any type (NumPy's have no ``as_integer_ratio()``), and
+    ``as_integer_ratio()`` for any other real.
     """
     if not slope > 0:
         raise DomainError(f"slope must be positive, got {slope!r}")
-    # an infinite slope is the ratio 1 / 0, which the clamp takes as any steep ray
-    return _rational_ray_crossing(profile, *((1, 0) if slope == math.inf else slope.as_integer_ratio()))
+    if slope == math.inf:
+        ratio = (1, 0)  # the clamp takes it as any steep ray
+    elif isinstance(slope, numbers.Integral):
+        ratio = (int(slope), 1)
+    else:
+        ratio = slope.as_integer_ratio()
+    return _rational_ray_crossing(profile, *ratio)
 
 
 def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> CrossingPoint:

@@ -11,6 +11,7 @@ so that importing the CLI loads no ``xml`` module.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .collective import CollectiveProfile
@@ -108,6 +109,11 @@ def build_plot_spec(
 # code points that XML 1.0 allows nowhere, not even as a character reference, and the
 # surrogates, which UTF-8 cannot encode: U+DC80 to U+DCFF stand for the bytes of a non-UTF-8 file name
 _NOT_XML = dict.fromkeys([*range(9), 0xB, 0xC, *range(0xE, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")
+
+# a curve's path is written one block of vertices per %-format, so no string is built per
+# vertex; "%.2f" % v is the conversion f"{v:.2f}" makes
+_BLOCK = 1024
+_BLOCK_FORMAT = " L ".join(["%.2f %s"] * _BLOCK)
 
 
 def _nice_step(span: float) -> float:
@@ -244,9 +250,14 @@ def render_svg(spec: PlotSpec) -> bytes:
     # curves
     for i, curve in enumerate(spec.curves):
         color = _PALETTE[i % len(_PALETTE)]
-        # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
-        vertices = zip(range(1, len(curve.ordinates) + 1), curve.ordinates)
-        points = " L ".join([f"{ml + (x / x_max) * plot_w:.2f} {y_text[c]}" for x, c in vertices])
+        blocks = []
+        for start in range(0, len(curve.ordinates), _BLOCK):
+            ys = curve.ordinates[start : start + _BLOCK]
+            # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
+            xs = [ml + (x / x_max) * plot_w for x in range(start + 1, start + len(ys) + 1)]
+            block_format = _BLOCK_FORMAT if len(ys) == _BLOCK else " L ".join(["%.2f %s"] * len(ys))
+            blocks.append(block_format % tuple(chain.from_iterable(zip(xs, map(y_text.__getitem__, ys)))))
+        points = " L ".join(blocks)
         dash = ' stroke-dasharray="7 4"' if curve.dashed else ""
         parts.append(
             f'<path class="curve" data-label={quoteattr(labels[i])} d="M {points}" '
@@ -280,8 +291,10 @@ def render_svg(spec: PlotSpec) -> bytes:
                 f'stroke="{color}" stroke-width="1.4"/>'
             )
 
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    parts.append("</svg>\n")
+    svg = "\n".join(parts)
+    del parts  # so that the text and its bytes are the only copies of the SVG held at once
+    return svg.encode("utf-8")
 
 
 def write_points_csv(spec: PlotSpec) -> str:

@@ -10,6 +10,8 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citemetric import synthesize_counts
 from citemetric.cli import main
@@ -140,6 +142,62 @@ def test_table_isolates_unreadable_entries(tmp_path, make_bad, message):
     assert len(child.stderr.splitlines()) == 1
     assert child.stderr.startswith(f"error: {tmp_path / 'x.json'}: {message}")
     assert any(row.startswith("good,") for row in child.stdout.splitlines())
+
+
+_BAD_ENTRIES = {
+    "fifo": os.mkfifo,
+    "directory": Path.mkdir,
+    "dangling": lambda path: path.symlink_to("nowhere"),
+    "symlink-loop": lambda path: path.symlink_to(path.name),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    goods=st.lists(st.tuples(st.sampled_from([".json", ".csv"]), st.booleans()), min_size=1, max_size=4),
+    bads=st.lists(
+        st.tuples(st.sampled_from(sorted(_BAD_ENTRIES)), st.sampled_from([".json", ".csv"]), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_table_of_a_mixed_directory_reports_each_bad_entry_and_tabulates_each_profile(tmp_path_factory, goods, bads):
+    """Profiles, FIFOs, directories named x.json and broken symlinks, some under non-UTF-8 names, in one scan."""
+    directory = tmp_path_factory.mktemp("mixed")
+
+    def entry(i, suffix, non_utf8):
+        return directory / os.fsdecode(b"\xff" * non_utf8 + f"e{i}{suffix}".encode())
+
+    ids = set()
+    for i, (suffix, non_utf8) in enumerate(goods):
+        path = entry(i, suffix, non_utf8)
+        if suffix == ".json":
+            _write_json(path, f"g{i}", [i + 1])
+            ids.add(f"g{i}")
+        else:  # a CSV profile takes its id from the file name
+            path.write_text(f"citations\n{i + 1}\n", encoding="utf-8")
+            ids.add(path.stem)
+    bad_paths = []
+    for i, (kind, suffix, non_utf8) in enumerate(bads, start=len(goods)):
+        path = entry(i, suffix, non_utf8)
+        _BAD_ENTRIES[kind](path)
+        bad_paths.append(path)
+    # in a child process with a deadline, so that a scan that blocks on an entry fails instead of hanging
+    child = subprocess.run(
+        [sys.executable, "-m", "citemetric.cli", "table", str(directory)],
+        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        capture_output=True,
+        encoding="utf-8",
+        errors="surrogateescape",
+        timeout=60,
+    )
+    assert child.returncode == 1
+    errors = child.stderr.splitlines()
+    assert len(errors) == len(bad_paths)
+    for path in bad_paths:  # stderr shows a non-UTF-8 byte as its escaped surrogate
+        shown = str(path).encode("utf-8", "backslashreplace").decode("utf-8")
+        assert sum(line.startswith(f"error: {shown}: ") for line in errors) == 1
+    assert {row.split(",")[0] for row in child.stdout.splitlines()[1:]} == ids
 
 
 def test_compute_non_utf8_file_fails_with_diagnostic(tmp_path, capsys):

@@ -82,6 +82,37 @@ def test_crossing_takes_any_slope_with_an_integer_ratio_at_its_exact_value():
     assert third == (144 / 19, 48 / 19)
 
 
+@pytest.mark.parametrize(
+    "slope, equal",
+    [
+        (np.int64(3), 3),
+        (np.uint8(2), 2),
+        (np.int64(2**62), 2**62),  # steeper than c_max: clamped
+        (np.float32(0.1), float(np.float32(0.1))),
+        (np.float64(2.5), 2.5),
+        (Fraction(3, 2), 1.5),
+        (Decimal("2.75"), 2.75),
+        (np.float32("inf"), math.inf),
+    ],
+    ids=repr,
+)
+def test_crossing_of_a_real_slope_equals_that_of_its_builtin_equal(slope, equal):
+    p = build_profile("a", [46, 36, 28, 25, 23, 8, 6])
+    assert slope == equal
+    assert line_crossing(p, slope) == line_crossing(p, equal)
+
+
+@pytest.mark.parametrize(
+    "slope",
+    [math.nan, np.float32("nan"), np.float64("nan"), np.int64(0), np.uint8(0), np.int64(-3), Fraction(-1, 2),
+     Decimal("-0.5"), Decimal(0)],
+    ids=repr,
+)
+def test_crossing_rejects_nan_and_non_positive_slopes_of_any_type(slope):
+    with pytest.raises(DomainError):
+        line_crossing(build_profile("a", [3]), slope)
+
+
 def test_h_index_examples():
     assert h_index(build_profile("a", [7, 1])) == 1
     assert h_index(build_profile("a", [10, 5, 2])) == 2

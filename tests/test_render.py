@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from citemetric import (
@@ -291,3 +291,49 @@ def test_svg_is_well_formed_for_any_label(label):
     assert labels == {shown}
     guides = [element.get("data-label") for element in root if element.get("class") == "guide"]
     assert guides == [f"{shown}:unit", f"{shown}:mean", f"{shown}:sqrt-total"]
+
+
+def _reference_paths(spec):
+    """Each curve's d attribute written with one f-string per vertex, the reference for the blocks."""
+    ml, mt, plot_w, plot_h = 62.0, 24.0, 774.0, 468.0
+    x_data = max(len(curve.ordinates) for curve in spec.curves)
+    y_data = max(max(curve.ordinates) for curve in spec.curves)
+    x_step = render._nice_step(x_data)
+    x_max = x_step * math.ceil(x_data / x_step)
+    if spec.log_y:
+        log_top = math.log10(10.0 ** max(1, math.ceil(math.log10(max(y_data, 1.0)))))
+    else:
+        y_step = render._nice_step(max(y_data, 1.0))
+        y_max = y_step * math.ceil(max(y_data, 1.0) / y_step)
+
+    def sy(c):
+        frac = math.log10(max(c, 1.0)) / log_top if spec.log_y else c / y_max
+        return mt + plot_h * (1.0 - frac)
+
+    return [
+        "M " + " L ".join(
+            f"{ml + (x / x_max) * plot_w:.2f} {sy(c):.2f}"
+            for x, c in zip(range(1, len(curve.ordinates) + 1), curve.ordinates)
+        )
+        for curve in spec.curves
+    ]
+
+
+@st.composite
+def _block_curves(draw):
+    """Curves as long as a block, one vertex either side of it, two blocks and a vertex, or short."""
+    block = render._BLOCK
+    curves = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.one_of(st.integers(1, 12), st.sampled_from([block - 1, block, block + 1, 2 * block + 1])))
+        # few distinct counts, as a long curve has
+        pool = draw(st.lists(st.integers(0, 2**53), min_size=1, max_size=6))
+        curves.append(render.Curve(f"c{i}", tuple(pool[j % len(pool)] for j in range(n))))
+    return tuple(curves)
+
+
+@settings(max_examples=60)
+@given(_block_curves(), st.booleans())
+def test_curve_paths_written_in_blocks_equal_one_f_string_per_vertex(curves, log_y):
+    spec = render.PlotSpec(curves=curves, markers=(), guide_lines=(), log_y=log_y)
+    assert re.findall(r' d="([^"]*)"', render_svg(spec).decode("utf-8")) == _reference_paths(spec)
