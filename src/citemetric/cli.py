@@ -34,11 +34,6 @@ from .profile import CitationProfile
 from .render import build_plot_spec, render_svg, write_points_csv
 
 
-def _default_format(valid: tuple[str, ...]) -> str:
-    env = os.environ.get("CITEMETRIC_FORMAT", "").strip().lower()
-    return env if env in valid else valid[0]
-
-
 def _load_document(path: str) -> ProfileDocument:
     if path == "-":
         return parse_profile(sys.stdin.buffer, fmt="json")  # UTF-8, as a file is, whatever the locale
@@ -165,46 +160,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Citation-curve indices, report tables and charts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    env_format = os.environ.get("CITEMETRIC_FORMAT", "").strip().lower()
 
-    p = sub.add_parser("compute", help="indices for one profile file")
+    def command(name: str, func, formats: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+        """A subcommand with its --format, by default CITEMETRIC_FORMAT if one of ``formats``, else the first."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default=env_format if env_format in formats else formats[0])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("compute", cmd_compute, ("text", "csv"), "indices for one profile file")
     p.add_argument("path", help="profile file, or - for JSON on stdin")
-    p.add_argument("--format", choices=("text", "csv"), default=_default_format(("text", "csv")))
     p.add_argument("--include-kh", action="store_true", help="append the kh column to CSV output")
     p.add_argument("-o", "--output", help="write to this file instead of stdout")
-    p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("table", help="report table for a directory of profiles")
+    p = command("table", cmd_table, ("csv", "md"), "report table for a directory of profiles")
     p.add_argument("directory")
-    p.add_argument("--format", choices=("csv", "md"), default=_default_format(("csv", "md")))
     p.add_argument("--with-total", action="store_true", help="append the pooled row")
     p.add_argument("--include-kh", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("merge", help="pool profiles into one collective")
+    p = command("merge", cmd_merge, ("text", "csv"), "pool profiles into one collective")
     p.add_argument("paths", nargs="+")
     p.add_argument("--label", help="author id for the merged profile")
-    p.add_argument("--format", choices=("text", "csv"), default=_default_format(("text", "csv")))
     p.add_argument("--include-kh", action="store_true")
     p.add_argument("-o", "--output", help="write the merged document here; report goes to stdout")
-    p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("plot", help="render profiles as SVG or a point-series CSV")
+    p = command("plot", cmd_plot, ("svg", "csv"), "render profiles as SVG or a point-series CSV")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--format", choices=("svg", "csv"), default=_default_format(("svg", "csv")))
     p.add_argument("--log-y", action="store_true", dest="log_y")
     p.add_argument("--guides", action="store_true", help="draw the unit, mean and sqrt-total rays")
     p.add_argument("--with-merged", action="store_true", help="overlay the pooled curve, dashed")
     p.add_argument("--include-g", action="store_true", help="also mark the g index")
     p.add_argument("--label", help="label for the pooled curve", default="merged")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("compare", help="one author across reporting sources")
+    p = command("compare", cmd_compare, ("csv", "md"), "one author across reporting sources")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--format", choices=("csv", "md"), default=_default_format(("csv", "md")))
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

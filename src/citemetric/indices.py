@@ -49,7 +49,11 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     any type (NumPy's have no ``as_integer_ratio()``), and
     ``as_integer_ratio()`` for any other real.
     """
-    if not slope > 0:
+    try:
+        positive = slope > 0
+    except ArithmeticError:  # a Decimal NaN raises InvalidOperation rather than compare
+        positive = False
+    if not positive:
         raise DomainError(f"slope must be positive, got {slope!r}")
     if slope == math.inf:
         ratio = (1, 0)  # the clamp takes it as any steep ray
@@ -156,7 +160,7 @@ def c_k(profile: CitationProfile, k: int) -> int:
     """Citations collected by the k most-cited works."""
     if k < 1:
         raise DomainError(f"rank cutoff must be at least 1, got {k!r}")
-    return sum(profile.counts[: min(k, profile.r)])
+    return sum(profile.counts[:k])  # the counts past r are zeros
 
 
 def kh1(profile: CitationProfile) -> float:

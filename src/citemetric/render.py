@@ -119,7 +119,7 @@ _BLOCK_FORMAT = " L ".join(["%.2f %s"] * _BLOCK)
 def _nice_step(span: float) -> float:
     raw = span / 6  # about six ticks
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if mult * magnitude >= raw:
             return mult * magnitude
     return 10.0 * magnitude

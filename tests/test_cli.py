@@ -17,6 +17,17 @@ from citemetric import synthesize_counts
 from citemetric.cli import main
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env(encoding="utf-8"):
+    """A CLI child's environment: this checkout's source, and no bytecode written into it if the tests write none."""
+    env = {"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def _write_json(path, author_id, citations, **extra):
     data = {"author_id": author_id, "citations": list(citations), **extra}
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -132,7 +143,7 @@ def test_table_isolates_unreadable_entries(tmp_path, make_bad, message):
     # in a child process, so that a scan that blocks on an entry fails the test instead of hanging it
     child = subprocess.run(
         [sys.executable, "-m", "citemetric.cli", "table", str(tmp_path)],
-        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        env=_child_env(),
         capture_output=True,
         text=True,
         encoding="utf-8",
@@ -185,7 +196,7 @@ def test_table_of_a_mixed_directory_reports_each_bad_entry_and_tabulates_each_pr
     # in a child process with a deadline, so that a scan that blocks on an entry fails instead of hanging
     child = subprocess.run(
         [sys.executable, "-m", "citemetric.cli", "table", str(directory)],
-        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        env=_child_env(),
         capture_output=True,
         encoding="utf-8",
         errors="surrogateescape",
@@ -208,6 +219,16 @@ def test_compute_non_utf8_file_fails_with_diagnostic(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: not UTF-8 text")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_table_reads_profiles_named_in_any_letter_case_and_dotfiles(tmp_path, capsys):
+    _write_json(tmp_path / "A.JSON", "upper", [5, 1])
+    (tmp_path / "b.Csv").write_text("citations\n4\n", encoding="utf-8")
+    _write_json(tmp_path / ".json", "dotfile", [3])
+    assert main(["table", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [row.split(",")[0] for row in captured.out.splitlines()] == ["no", "upper", "b", "dotfile"]
 
 
 def test_table_empty_directory_fails(tmp_path, capsys):
@@ -412,6 +433,19 @@ def test_merge_stdout_layout_golden(tmp_path, capsys, fmt, report):
 
 
 _UNUSABLE_INPUTS = [
+    pytest.param("x.json", '{"author_id": "x"}', "citations is required", id="no-citations"),
+    pytest.param(
+        "x.json",
+        '{"author_id": "x", "citations": 3}',
+        "citations must be an array of integers",
+        id="citations-not-array",
+    ),
+    pytest.param(
+        "x.json",
+        '{"author_id": "x", "citations": [1], "source": 7}',
+        "source must be a string, got 7",
+        id="source-not-str",
+    ),
     pytest.param("x.json", "[" * 100_000, "invalid JSON: nested too deeply", id="deep-nesting"),
     pytest.param(
         "x.json",
@@ -517,14 +551,13 @@ def test_table_written_into_its_own_directory_is_not_read_back(tmp_path):
 
 def test_cli_import_loads_no_xml_or_network_modules():
     # -S keeps site-packages' .pth hooks, which may import these themselves, out of the child
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import citemetric.cli; "
         "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'dataclasses', 'inspect')"
         " if m in sys.modules))"
     )
     child = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, encoding="utf-8", check=True
+        [sys.executable, "-S", "-c", code, str(_SRC)], capture_output=True, text=True, encoding="utf-8", check=True
     )
     assert child.stdout == "[]\n"
 
@@ -540,9 +573,6 @@ def test_merge_document_bytes_are_pinned(tmp_path):
     assert main(args) == 0
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == "fb8ebba0806c4007fde241bed502c911793c1b230ecb6a0fadd2da10d321a1c3"
-
-
-_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
@@ -561,7 +591,7 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
     child = subprocess.run(
         [sys.executable, "-m", "citemetric.cli", *args],
         cwd=tmp_path,
-        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        env=_child_env(),
         capture_output=True,
     )
     assert child.returncode == 0, child.stderr
@@ -574,9 +604,11 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
 @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
 def test_compute_reads_stdin_as_utf8_whatever_the_stdio_encoding(encoding):
     def compute(data):
-        env = {"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
         return subprocess.run(
-            [sys.executable, "-m", "citemetric.cli", "compute", "-"], input=data, env=env, capture_output=True
+            [sys.executable, "-m", "citemetric.cli", "compute", "-"],
+            input=data,
+            env=_child_env(encoding),
+            capture_output=True,
         )
 
     good = compute('{"author_id": "\u00e9", "citations": [1]}'.encode("utf-8"))
@@ -602,7 +634,7 @@ def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args, byte):
     child = subprocess.run(
         [sys.executable, "-m", "citemetric.cli", *args],
         cwd=tmp_path,
-        env={"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": "utf-8"},
+        env=_child_env(),
         capture_output=True,
     )
     assert child.returncode == 1

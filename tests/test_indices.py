@@ -105,7 +105,7 @@ def test_crossing_of_a_real_slope_equals_that_of_its_builtin_equal(slope, equal)
 @pytest.mark.parametrize(
     "slope",
     [math.nan, np.float32("nan"), np.float64("nan"), np.int64(0), np.uint8(0), np.int64(-3), Fraction(-1, 2),
-     Decimal("-0.5"), Decimal(0)],
+     Decimal("-0.5"), Decimal(0), Decimal("NaN"), Decimal("sNaN")],
     ids=repr,
 )
 def test_crossing_rejects_nan_and_non_positive_slopes_of_any_type(slope):

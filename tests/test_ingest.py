@@ -15,6 +15,7 @@ from citemetric import (
     write_profile,
     write_report_table,
 )
+from citemetric.ingest import write_table
 
 
 def test_parse_json_full_document(tmp_path):
@@ -96,10 +97,36 @@ def test_parse_stream_needs_format_and_csv_needs_author():
     import io
     doc = parse_profile(io.StringIO('{"author_id": "s", "citations": [1]}'), fmt="json")
     assert doc.author_id == "s"
+    with pytest.raises(ValidationError, match="a stream needs an explicit format"):
+        parse_profile(io.StringIO('{"author_id": "s", "citations": [1]}'))
     with pytest.raises(ValidationError):
         parse_profile(io.StringIO("citations\n1\n"), fmt="csv")
     doc = parse_profile(io.StringIO("citations\n1\n"), fmt="csv", author_id="s")
     assert doc.citations == (1,)
+
+
+@pytest.mark.parametrize(
+    "name, fmt",
+    [("a.json", "json"), ("A.JSON", "json"), ("b.Csv", "csv"), (".json", "json"), ("x.tar.csv", "csv"),
+     ("README", ""), ("a.", ""), ("a.txt", "txt")],
+)
+def test_profile_format_is_the_lower_cased_text_after_the_last_dot(name, fmt):
+    from citemetric.ingest import profile_format
+    assert profile_format(name) == fmt
+
+
+def test_unknown_profile_format_is_rejected(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("citations\n1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="unknown profile format: 'txt'"):
+        parse_profile(path)
+    with pytest.raises(ValidationError, match="unknown profile format: 'xml'"):
+        write_profile(ProfileDocument("a", (1,)), "xml")
+
+
+def test_unknown_table_format_is_rejected():
+    with pytest.raises(ValidationError, match="unknown table format: 'html'"):
+        write_table(["no"], [["a"]], "html")
 
 
 def test_round_trip_json():

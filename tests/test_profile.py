@@ -1,6 +1,6 @@
 import pytest
 
-from citemetric import DomainError, EmptyProfileError, ValidationError, build_profile
+from citemetric import DomainError, EmptyProfileError, ValidationError, build_profile, synthesize_counts
 
 
 def test_build_sorts_and_derives_scalars():
@@ -95,3 +95,26 @@ def test_counts_above_two_to_the_53_rejected_naming_the_index():
     assert build_profile("a", [2**53, 1]).c_max == 2**53
     with pytest.raises(ValidationError, match=r"^counts\[1\] is above the largest supported count"):
         build_profile("a", [3, 10**5000, 2**53 + 1])
+
+
+@pytest.mark.parametrize(
+    "r0, r, c_sigma, c_max, message",
+    [
+        (3, 4, 10, 5, "need 0 <= r <= r0"),
+        (3, -1, 10, 5, "need 0 <= r <= r0"),
+        (3, 0, 1, 0, "r == 0 forces c_sigma == 0 and c_max == 0"),
+        (3, 0, 0, 1, "r == 0 forces c_sigma == 0 and c_max == 0"),
+        (3, 2, 5, 0, "need 1 <= c_max <= c_sigma"),
+        (3, 2, 4, 5, "need 1 <= c_max <= c_sigma"),
+        (3, 3, 6, 5, "c_sigma too small"),
+        (3, 2, 11, 5, "c_sigma too large"),
+    ],
+)
+def test_synthesize_counts_rejects_infeasible_parameters(r0, r, c_sigma, c_max, message):
+    with pytest.raises(ValidationError, match=message):
+        synthesize_counts(r0, r, c_sigma, c_max)
+
+
+def test_synthesize_counts_without_cited_works_is_all_zeros():
+    assert synthesize_counts(3, 0, 0, 0) == [0, 0, 0]
+    assert synthesize_counts(0, 0, 0, 0) == []
