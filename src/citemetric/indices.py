@@ -193,9 +193,8 @@ def compute_report(profile: CitationProfile) -> IndexReport:
     Empty profiles report zero everywhere and leave m absent; otherwise
     m is present exactly when career_years is.
     """
-    m: float | None = None
-    if profile.r0 > 0 and profile.career_years is not None:
-        m = m_index(profile)
+    h = h_index(profile)  # once: m is h / career_years, as m_index computes it
+    m = h / profile.career_years if profile.r0 > 0 and profile.career_years is not None else None
     k1, k2, k3 = kh1(profile), kh2(profile), kh3(profile)
     return IndexReport(
         author_id=profile.author_id,
@@ -205,7 +204,7 @@ def compute_report(profile: CitationProfile) -> IndexReport:
         c10=c_k(profile, 10),
         c_max=profile.c_max,
         c_s=profile.c_s,
-        h=h_index(profile),
+        h=h,
         g=g_index_parabola(profile),
         m=m,
         i10=i_k(profile, 10),

@@ -60,11 +60,14 @@ def round_half_up(value: float, decimals: int = 1) -> float:
     return float(format_real(value, decimals))
 
 
+_TENTH = Decimal(1).scaleb(-1)  # the quantum of every table cell, built once
+
+
 def format_real(value: float | None, decimals: int = 1) -> str:
     """Half-up fixed-point display; absent values print as '-'."""
     if value is None:
         return "-"
-    quantum = Decimal(1).scaleb(-decimals)
+    quantum = _TENTH if decimals == 1 else Decimal(1).scaleb(-decimals)
     return str(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 

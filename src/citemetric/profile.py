@@ -52,7 +52,7 @@ class CitationProfile(NamedTuple):
         return here + (nxt - here) * (x - k)
 
     def vertex(self, j: int) -> int:
-        """C(j) at an integer rank j >= 1: the j-th count, and 0 from r + 1 on, where the curve closes."""
+        """C(j) at an integer rank j >= 1: the j-th count, and 0 from r + 1 on (first_vertex inlines this rule)."""
         return self.counts[j - 1] if j <= self.r else 0
 
 
@@ -100,7 +100,7 @@ def build_profile(
     career_years: int | None = None,
 ) -> CitationProfile:
     """Validate and sort raw per-work citation counts into a profile."""
-    raw = list(counts)
+    raw = counts if isinstance(counts, (list, tuple)) else list(counts)  # check_counts and sorted() only read it
     exact = set(map(type, raw)) <= {int}  # so that sorted() cannot raise TypeError
     ordered = sorted(raw, reverse=True) if exact else []
     # sorted, the counts need their bounds checked at the two ends only
@@ -118,8 +118,7 @@ def from_sorted(
 ) -> CitationProfile:
     """Profile from counts already validated and sorted non-increasing; checks nothing."""
     r = bisect.bisect_left(ordered, 0, key=operator.neg)  # zeros trail the cited works
-    c_sigma = sum(ordered[:r])
-    c_max = ordered[0] if r >= 1 else 0
+    c_sigma = sum(ordered)  # the uncited works add zeros
     return CitationProfile(
         author_id=author_id,
         counts=ordered,
@@ -127,7 +126,7 @@ def from_sorted(
         r0=len(ordered),
         r=r,
         c_sigma=c_sigma,
-        c_max=c_max,
+        c_max=ordered[0] if r >= 1 else 0,
         c_s=c_sigma / r if r >= 1 else 0.0,
     )
 
@@ -140,4 +139,5 @@ def first_vertex(profile: CitationProfile, test: Callable[[int, int], bool]) -> 
     form "C(j) at or below a non-decreasing bound".  A test that fails
     at the closing vertex (r + 1, 0) too yields r + 2.
     """
-    return 1 + bisect.bisect_left(range(1, profile.r + 2), True, key=lambda j: test(j, profile.vertex(j)))
+    counts, r = profile.counts, profile.r  # C(j) as CitationProfile.vertex states it
+    return 1 + bisect.bisect_left(range(1, r + 2), True, key=lambda j: test(j, counts[j - 1] if j <= r else 0))

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from citemetric import (
     kh3,
     kh_max,
     line_crossing,
+    m_index,
     merge_profiles,
     parse_profile,
     render_svg,
@@ -37,7 +39,7 @@ from citemetric import (
 from citemetric.errors import DomainError, ParseError, ValidationError
 from citemetric.ingest import _BLOCK, parse_profile_csv, parse_profile_json
 from citemetric.indices import compute_report, kh1_crossing, kh3_crossing
-from citemetric.profile import MAX_COUNT, check_career_years, check_counts, from_sorted
+from citemetric.profile import MAX_COUNT, check_career_years, check_counts, first_vertex, from_sorted
 from oracles import (
     brute_c_k,
     brute_g_egghe,
@@ -515,3 +517,92 @@ def test_write_profile_json_matches_json_dumps(runs, order, rng, author_id, year
         rng.shuffle(counts)
     doc = ProfileDocument(author_id, tuple(counts), years, source)
     assert write_profile(doc, "json") == _reference_write_json(doc)
+
+
+def _linear_first_vertex(profile, test):
+    """Reference: the first rank in 1..r + 1 whose vertex, read through CitationProfile.vertex, passes."""
+    return next((j for j in range(1, profile.r + 2) if test(j, profile.vertex(j))), profile.r + 2)
+
+
+# small counts make h, g and i_k vary; the rest reach the bound
+locator_counts = st.lists(
+    st.integers(min_value=0, max_value=40) | st.integers(min_value=0, max_value=MAX_COUNT), max_size=30
+)
+positive = st.integers(min_value=1, max_value=50) | st.integers(min_value=1, max_value=MAX_COUNT)
+
+
+@settings(max_examples=300)
+@example([], 10, 1, 1, 1.0)  # r = 0: the closing vertex (1, 0) is the only one
+@example([0, 0, 0], 10, 1, 1, 0.5)  # all uncited
+@example([MAX_COUNT] * 3, MAX_COUNT, MAX_COUNT, 1, float(MAX_COUNT))
+@given(locator_counts, positive, positive, positive, st.floats(min_value=0.0, max_value=2.0**54))
+def test_first_vertex_matches_a_linear_scan_over_the_vertices(counts, k, p, q, value):
+    """The bisect reads the counts directly; each test the library passes finds what a scan of vertex() finds."""
+    profile = build_profile("a", counts)
+    tests = {
+        "h": lambda j, c: c < j,
+        "g": lambda j, c: c < j * j,
+        "i_k": lambda j, c: c < k,
+        "ray": lambda j, c: c * q <= p * j,
+        "level": lambda j, c: c <= value,
+    }
+    for name, test in tests.items():
+        assert first_vertex(profile, test) == _linear_first_vertex(profile, test), name
+
+
+@settings(max_examples=300)
+@example([], 3)  # no works: m stays absent even with a career length
+@example([0, 0], 3)
+@given(locator_counts, st.none() | st.integers(min_value=1, max_value=80))
+def test_report_m_is_m_index_exactly_when_there_are_works_and_a_career(counts, years):
+    profile = build_profile("a", counts, years)
+    report = compute_report(profile)
+    if profile.r0 > 0 and years is not None:
+        assert report.m == m_index(profile)
+    else:
+        assert report.m is None
+    assert report.c10 == c_k(profile, 10)
+    assert report.h == h_index(profile)
+
+
+@settings(max_examples=200)
+@given(locator_counts, st.none() | st.integers(min_value=1, max_value=80))
+def test_build_profile_reads_a_list_a_tuple_and_a_generator_alike(counts, years):
+    given_list = list(counts)
+    built = build_profile("a", given_list, years)
+    assert build_profile("a", tuple(counts), years) == built
+    assert build_profile("a", (c for c in counts), years) == built  # one-shot: read once
+    assert given_list == counts  # sorted into a new tuple, not in place
+
+
+@settings(max_examples=300)
+@given(locator_counts)
+def test_profile_totals_are_those_of_the_positive_counts(counts):
+    """Checked against the raw counts, not through from_sorted, which sums the zeros too."""
+    cited = [c for c in counts if c > 0]
+    p = build_profile("a", counts)
+    assert (p.r0, p.r, p.c_sigma, p.c_max) == (len(counts), len(cited), sum(cited), max(cited, default=0))
+    assert p.c_s == (sum(cited) / len(cited) if cited else 0.0)
+
+
+def _reference_format_real(value, decimals):
+    try:
+        return str(Decimal(str(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP))
+    except ArithmeticError as exc:  # decimal.InvalidOperation: more digits than the context's precision
+        return type(exc), exc.args
+
+
+@settings(max_examples=500)
+@example(0.05, 1)
+@example(0.25, 1)
+@example(-0.05, 1)
+@example(1e30, 1)  # 32 digits: quantize raises
+@example(2.0**53 + 0.5, 3)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=0, max_value=3))
+def test_format_real_is_the_decimal_of_the_shortest_repr_rounded_half_up(value, decimals):
+    try:
+        got = format_real(value, decimals)
+    except ArithmeticError as exc:
+        got = type(exc), exc.args
+    assert got == _reference_format_real(value, decimals)
+    assert format_real(None, decimals) == "-"
