@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from .collective import collective_report, merge_profiles
 from .errors import CitemetricError, ValidationError
@@ -34,9 +34,17 @@ from .profile import CitationProfile
 from .render import build_plot_spec, render_svg, write_points_csv
 
 
+def _std_buffer(name: str, what: str) -> BinaryIO:
+    """The byte stream under ``sys.<name>``; the interpreter sets it to None when the descriptor was closed at start."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise CitemetricError(f"standard {what} is closed")
+    return stream.buffer
+
+
 def _load_document(path: str) -> ProfileDocument:
     if path == "-":
-        return parse_profile(sys.stdin.buffer, fmt="json")  # UTF-8, as a file is, whatever the locale
+        return parse_profile(_std_buffer("stdin", "input"), fmt="json")  # UTF-8, as a file is, whatever the locale
     return parse_profile(Path(path))
 
 
@@ -50,7 +58,7 @@ def _emit_bytes(data: bytes, out: str | None) -> None:
     if out:
         Path(out).write_bytes(data)
     else:
-        sys.stdout.buffer.write(data)
+        _std_buffer("stdout", "output").write(data)
 
 
 def _report_output(report: IndexReport, args: argparse.Namespace) -> str:

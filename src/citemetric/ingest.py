@@ -129,24 +129,31 @@ def _echo_cell(cell: str) -> str:
     return f"{cell[:20] + '…'!r} ({len(cell)} characters)"
 
 
+_DIGIT_LINES = str.maketrans("", "", "0123456789\r\n")  # deletes all a body of bare counts holds
+_decode_json = json.JSONDecoder().decode  # what json.loads runs, bound apart from the name json.loads
+
+
 def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:
     """Parse the single-column CSV format (header 'citations')."""
     if not author_id:
         raise ValidationError("author_id is required for CSV profiles")
+    # A body of bare digit lines, LF or CRLF, is one JSON array once each "\n" is a ",",
+    # and json's C scanner reads it without a str per cell.  Digit text it rejects
+    # (leading zeros, blank or CR-only lines, over 4,300 digits), a count over the bound
+    # and any other layout go to the line loop: same values, and it names the failing line.
+    header, _, body = text.partition("\n")
+    if header in ("citations", "citations\r") and not body.translate(_DIGIT_LINES):
+        try:
+            values = _decode_json("[" + body.rstrip("\r\n").replace("\n", ",") + "]")
+        except ValueError:
+            pass
+        else:
+            if max(values, default=0) <= MAX_COUNT:  # no sign, so no negative count
+                return ProfileDocument(author_id, tuple(values))
     lines = text.splitlines()
     if not lines or lines[0].strip() != "citations":
         found = lines[0].strip() if lines else ""
         raise ParseError(f"line 1: expected header 'citations', found {found!r}")
-    # On ASCII text without "_", int() reads each cell as the line loop below does
-    # (it strips the same whitespace as str.strip()); the loop names what fails.
-    if text.isascii() and "_" not in text:
-        try:
-            values = list(map(int, lines[1:]))
-        except ValueError:
-            pass
-        else:
-            if min(values, default=0) >= 0 and max(values, default=0) <= MAX_COUNT:
-                return ProfileDocument(author_id, tuple(values))
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         cell = line.strip()

@@ -67,6 +67,29 @@ def test_compute_reads_stdin_dash(tmp_path, capsys, monkeypatch):
     assert "kh1: 4.0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("stream, args", [("stdin", ["compute", "-"]), ("stdout", ["compute", None])])
+def test_a_closed_standard_stream_ends_in_one_error_line(tmp_path, capsys, monkeypatch, stream, args):
+    path = _write_json(tmp_path / "a.json", "a", [3, 1])
+    monkeypatch.setattr(f"sys.{stream}", None)  # what the interpreter sets when the descriptor was closed at start
+    assert main([arg or path for arg in args]) == 1
+    what = "input" if stream == "stdin" else "output"
+    assert capsys.readouterr().err == f"error: standard {what} is closed\n"
+
+
+@pytest.mark.parametrize("fd, what", [(0, "input"), (1, "output")])
+def test_a_child_with_a_closed_standard_stream_ends_in_one_error_line(tmp_path, fd, what):
+    path = _write_json(tmp_path / "a.json", "a", [3, 1])
+    argv = [sys.executable, "-m", "citemetric.cli", "compute", "-" if fd == 0 else path]
+    child = subprocess.run(
+        ["sh", "-c", f'exec "$@" {fd}<&-', "sh", *argv],  # the shell closes the descriptor, then runs the CLI
+        env=_child_env(),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (1, f"error: standard {what} is closed\n")
+
+
 def test_compute_missing_file_fails_with_diagnostic(tmp_path, capsys):
     assert main(["compute", str(tmp_path / "gone.json")]) == 1
     captured = capsys.readouterr()

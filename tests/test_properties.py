@@ -450,6 +450,28 @@ def test_parse_csv_matches_the_line_loop(lines, trailing_newline):
     assert _outcome(parse_profile_csv, text, "a") == expected
 
 
+# bare digit cells, which json's scanner reads, and cells that JSON reads otherwise than int()
+json_like_cells = st.one_of(
+    st.integers(min_value=0, max_value=500).map(str),
+    st.integers(min_value=0, max_value=2**60).map(str),
+    st.sampled_from([str(MAX_COUNT), str(MAX_COUNT + 1), "9007199254740993", "1" + "0" * 5000, "0", ""]),
+    st.sampled_from(["007", "00", "1e3", "1.0", "true", "null", "NaN", "[1]", "1,2", "-0", "+5", " 5", "-3"]),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(["citations", "citations\r", " citations"]),
+    st.lists(json_like_cells, max_size=20),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "\n", "\r\n", "\r", "\n\n"]),
+)
+def test_parse_csv_matches_the_line_loop_on_any_line_end(header, cells, line_end, ending):
+    text = header + line_end + line_end.join(cells) + ending
+    expected = _outcome(_reference_parse_csv_counts, text.splitlines()[1:])
+    assert _outcome(parse_profile_csv, text, "a") == expected
+
+
 def _reference_build_profile(counts, career_years):
     """The body build_profile had before it checked bounds on the sorted ends."""
     raw = list(counts)

@@ -55,3 +55,22 @@ def test_traced_table_opens_every_span_once_per_file(tmp_path):
     total = trace.profiles[-1]
     assert total.author_id == "total"
     assert sorted(total.counts) == sorted(c for counts in COUNTS.values() for c in counts)
+
+
+def test_traced_merge_decodes_only_the_json_file(tmp_path):
+    # the CSV is bare digit lines, which the parser reads with json's scanner, yet under ingest.parse only
+    a, b = COUNTS["a"], COUNTS["d"]
+    (tmp_path / "a.json").write_text(json.dumps({"author_id": "a", "citations": a}), encoding="utf-8")
+    (tmp_path / "b.csv").write_text("citations\n" + "".join(f"{c}\n" for c in b), encoding="utf-8")
+    out = tmp_path / "merged.json"
+    trace, code, stdout, stderr = tracer.traced_command(
+        ("merge", str(tmp_path / "a.json"), str(tmp_path / "b.csv"), "--label", "pooled", "-o", str(out))
+    )
+    assert (code, stderr) == (0, b"")
+    assert sorted(json.loads(out.read_text(encoding="utf-8"))["citations"]) == sorted(a + b)
+
+    spans = Counter(name for name, _, _, _ in trace.spans)
+    assert spans["ingest.decode"] == 1  # the JSON file only
+    assert spans["ingest.parse"] == spans["profile.build"] == 2
+    assert spans["collective.merge"] == spans["ingest.write_profile"] == 1
+    assert trace.counts["profile.works"] == len(a) + len(b)
