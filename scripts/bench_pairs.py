@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Alternating pairs of benchmark runs between two git revisions.
 
-    python3 scripts/bench_pairs.py BASE CHANGE --workload corpus_table --pairs 10 [--first-seed 1]
+    python3 scripts/bench_pairs.py BASE CHANGE --workload corpus_table --pairs 10
 
 Each revision is extracted with ``git archive`` into a fresh temporary
 directory (under ``$TMPDIR``), so neither side starts with a bytecode
 cache or an earlier run's ``.bench_work/``.  Pair i (from 1) runs
-``bench/run.py`` of each side on seed ``--first-seed`` + i - 1 (seed i by
-default) for ``BENCHMARK.json``'s run length, the base first in odd pairs
-and the change first in even ones, so that a drift in machine speed does
-not fall on one side only.  Each
+``bench/run.py`` of each side on seed i for ``BENCHMARK.json``'s run
+length, the base first in odd pairs and the change first in even ones,
+so that a drift in machine speed does not fall on one side only.  Each
 pair's end-to-end metrics are printed as the pair ends, then one summary
 row per metric: each side's median and quartiles, and the pairs the
 change won in the direction ``BENCHMARK.json`` gives the metric (ties
@@ -115,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", help="the revision under test")
     parser.add_argument("--workload", required=True, help="one workload named in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--first-seed", type=int, default=1, help="the seed of pair 1; pair i runs seed first + i - 1")
     args = parser.parse_args(argv)
 
     git = ["git", "-C", str(ROOT)]
@@ -134,9 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         for side in ("base", "change"):
             sides[side] = extract(getattr(args, side))
         pairs = []
-        for pair in range(1, args.pairs + 1):
-            seed = args.first_seed + pair - 1
-            order = ("base", "change") if pair % 2 else ("change", "base")
+        for seed in range(1, args.pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
             metrics = {side: run_once(sides[side], args.workload, seed) for side in order}
             pairs.append((metrics["base"], metrics["change"]))
             cells = ", ".join(
@@ -144,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name in better
                 if name in metrics["base"] and name in metrics["change"]
             )
-            print(f"pair {pair}, seed {seed} ({order[0]} first): {cells}", flush=True)
+            print(f"pair {seed} ({order[0]} first): {cells}", flush=True)
     finally:
         for directory in sides.values():
             shutil.rmtree(directory, ignore_errors=True)

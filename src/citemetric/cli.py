@@ -103,6 +103,7 @@ def _check_label(label: str | None, profiles: Sequence[CitationProfile] = ()) ->
 
 def cmd_merge(args: argparse.Namespace) -> int:
     _check_label(args.label)
+    _std_buffer("stdout", "output")  # the report goes there, so a closed stdout fails before -o writes a file
     profiles = [_load_document(path).to_profile() for path in args.paths]
     collective = merge_profiles(profiles, label=args.label)
     document = ProfileDocument(

@@ -130,7 +130,9 @@ def _echo_cell(cell: str) -> str:
 
 
 _DIGIT_LINES = str.maketrans("", "", "0123456789\r\n")  # deletes all a body of bare counts holds
-_decode_json = json.JSONDecoder().decode  # what json.loads runs, bound apart from the name json.loads
+# What json.loads runs, but not json.loads: bench/tracer.py times ingest.json.loads as the
+# ingest.decode span, which JSON files alone open, so CSV cells stay under ingest.parse.
+_decode_json = json.JSONDecoder().decode
 
 
 def parse_profile_csv(text: str, author_id: str) -> ProfileDocument:

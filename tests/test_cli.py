@@ -67,13 +67,18 @@ def test_compute_reads_stdin_dash(tmp_path, capsys, monkeypatch):
     assert "kh1: 4.0\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("stream, args", [("stdin", ["compute", "-"]), ("stdout", ["compute", None])])
+@pytest.mark.parametrize(
+    "stream, args",
+    [("stdin", ["compute", "-"]), ("stdout", ["compute", None]), ("stdout", ["merge", None, "-o", "m.json"])],
+)
 def test_a_closed_standard_stream_ends_in_one_error_line(tmp_path, capsys, monkeypatch, stream, args):
     path = _write_json(tmp_path / "a.json", "a", [3, 1])
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(f"sys.{stream}", None)  # what the interpreter sets when the descriptor was closed at start
     assert main([arg or path for arg in args]) == 1
     what = "input" if stream == "stdin" else "output"
     assert capsys.readouterr().err == f"error: standard {what} is closed\n"
+    assert not (tmp_path / "m.json").exists()  # merge fails before it writes its document
 
 
 @pytest.mark.parametrize("fd, what", [(0, "input"), (1, "output")])
