@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .collective import collective_report, merge_profiles
 from .errors import CitemetricError, ValidationError
@@ -23,7 +23,6 @@ from .indices import IndexReport, compute_report
 from .ingest import (
     ProfileDocument,
     display_cells,
-    format_real,
     parse_profile,
     scan_directory,
     write_profile,
@@ -45,7 +44,17 @@ def _std_buffer(name: str, what: str) -> BinaryIO:
 def _load_document(path: str) -> ProfileDocument:
     if path == "-":
         return parse_profile(_std_buffer("stdin", "input"), fmt="json")  # UTF-8, as a file is, whatever the locale
-    return parse_profile(Path(path))
+    return parse_profile(path)
+
+
+def _load_documents(paths: Sequence[str]) -> Iterator[ProfileDocument]:
+    """Each input's document in turn; a load error names its input, as ``table``'s per-file lines do."""
+    for path in paths:
+        try:
+            document = _load_document(path)
+        except CitemetricError as exc:
+            raise CitemetricError(f"{path}: {exc}") from exc
+        yield document
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -58,7 +67,14 @@ def _emit_bytes(data: bytes, out: str | None) -> None:
     if out:
         Path(out).write_bytes(data)
     else:
-        _std_buffer("stdout", "output").write(data)
+        stream = _std_buffer("stdout", "output")
+        try:
+            stream.write(data)
+            stream.flush()  # a closed pipe or a full disk fails here, inside main
+        except OSError:
+            with open(os.devnull, "wb") as devnull:  # what is still buffered goes there at exit
+                os.dup2(devnull.fileno(), stream.fileno())
+            raise
 
 
 def _report_output(report: IndexReport, args: argparse.Namespace) -> str:
@@ -78,8 +94,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for failure in result.failures:
         print(f"error: {failure.path}: {failure.error}", file=sys.stderr)
     if not result.documents:
-        print(f"error: no readable profiles in {args.directory}", file=sys.stderr)
-        return 1
+        raise CitemetricError(f"no readable profiles in {args.directory}")
     profiles = [doc.to_profile() for doc in result.documents]
     profiles.sort(key=lambda p: (-p.c_max, p.author_id))
     reports = [compute_report(profile) for profile in profiles]
@@ -104,7 +119,7 @@ def _check_label(label: str | None, profiles: Sequence[CitationProfile] = ()) ->
 def cmd_merge(args: argparse.Namespace) -> int:
     _check_label(args.label)
     _std_buffer("stdout", "output")  # the report goes there, so a closed stdout fails before -o writes a file
-    profiles = [_load_document(path).to_profile() for path in args.paths]
+    profiles = [doc.to_profile() for doc in _load_documents(args.paths)]
     collective = merge_profiles(profiles, label=args.label)
     document = ProfileDocument(
         author_id=collective.merged.author_id,
@@ -118,7 +133,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    profiles = [_load_document(path).to_profile() for path in args.paths]
+    profiles = [doc.to_profile() for doc in _load_documents(args.paths)]
     items: list = list(profiles)
     if args.with_merged:
         _check_label(args.label, profiles)
@@ -134,30 +149,18 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list[list[str]]]:
     header = ["source", "r0", "r", "c_sigma", "mean_per_work", "mean_per_cited", "h", "i10"]
     value_rows: list[list[float | None]] = []  # one per document
-    rows: list[list[str]] = []
     for doc in documents:
         report = compute_report(doc.to_profile())
-        values = [
-            report.r0,
-            report.r,
-            report.c_sigma,
-            report.c_sigma / report.r0 if report.r0 > 0 else None,
-            report.c_sigma / report.r if report.r > 0 else None,
-            report.h,
-            report.i10,
-        ]
-        value_rows.append(values)
-        rows.append([doc.source or doc.author_id, *display_cells(values)])
-    ratio = [
-        "-" if None in column or min(column) <= 0 else format_real(max(column) / min(column))
-        for column in zip(*value_rows)
-    ]
-    rows.append(["max/min", *ratio])
-    return header, rows
+        mean_per_work = report.c_sigma / report.r0 if report.r0 > 0 else None
+        mean_per_cited = report.c_sigma / report.r if report.r > 0 else None
+        value_rows.append([report.r0, report.r, report.c_sigma, mean_per_work, mean_per_cited, report.h, report.i10])
+    ratio = [None if None in column or min(column) <= 0 else max(column) / min(column) for column in zip(*value_rows)]
+    labels = [*(doc.source or doc.author_id for doc in documents), "max/min"]
+    return header, [[label, *display_cells(values)] for label, values in zip(labels, [*value_rows, ratio])]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    documents = [_load_document(path) for path in args.paths]
+    documents = list(_load_documents(args.paths))
     header, rows = _compare_rows(documents)
     _emit_text(write_table(header, rows, args.format), args.output)
     return 0
@@ -172,28 +175,27 @@ def _build_parser() -> argparse.ArgumentParser:
     env_format = os.environ.get("CITEMETRIC_FORMAT", "").strip().lower()
 
     def command(name: str, func, formats: tuple[str, ...], help: str) -> argparse.ArgumentParser:
-        """A subcommand with its --format, by default CITEMETRIC_FORMAT if one of ``formats``, else the first."""
-        p = sub.add_parser(name, help=help)
+        """A subcommand with -o, and --format by default CITEMETRIC_FORMAT if one of ``formats``, else the first."""
+        p = sub.add_parser(name, help=help, description=help)
         p.add_argument("--format", choices=formats, default=env_format if env_format in formats else formats[0])
+        p.add_argument("-o", "--output", help="write to this file instead of stdout")
         p.set_defaults(func=func)
         return p
 
     p = command("compute", cmd_compute, ("text", "csv"), "indices for one profile file")
     p.add_argument("path", help="profile file, or - for JSON on stdin")
     p.add_argument("--include-kh", action="store_true", help="append the kh column to CSV output")
-    p.add_argument("-o", "--output", help="write to this file instead of stdout")
 
     p = command("table", cmd_table, ("csv", "md"), "report table for a directory of profiles")
     p.add_argument("directory")
     p.add_argument("--with-total", action="store_true", help="append the pooled row")
     p.add_argument("--include-kh", action="store_true")
-    p.add_argument("-o", "--output")
 
-    p = command("merge", cmd_merge, ("text", "csv"), "pool profiles into one collective")
+    merge_help = "pool profiles into one collective; with -o the report still goes to stdout"
+    p = command("merge", cmd_merge, ("text", "csv"), merge_help)
     p.add_argument("paths", nargs="+")
     p.add_argument("--label", help="author id for the merged profile")
     p.add_argument("--include-kh", action="store_true")
-    p.add_argument("-o", "--output", help="write the merged document here; report goes to stdout")
 
     p = command("plot", cmd_plot, ("svg", "csv"), "render profiles as SVG or a point-series CSV")
     p.add_argument("paths", nargs="+")
@@ -202,11 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-merged", action="store_true", help="overlay the pooled curve, dashed")
     p.add_argument("--include-g", action="store_true", help="also mark the g index")
     p.add_argument("--label", help="label for the pooled curve", default="merged")
-    p.add_argument("-o", "--output")
 
     p = command("compare", cmd_compare, ("csv", "md"), "one author across reporting sources")
     p.add_argument("paths", nargs="+")
-    p.add_argument("-o", "--output")
 
     return parser
 

@@ -292,15 +292,14 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
     documents: list[ProfileDocument] = []
     failures: list[ScanFailure] = []
     for fmt, entry in entries:
-        file = directory / entry.name
         try:
             # the listing's file type costs no system call; stat follows a symlink, raising as open would
-            if entry.is_file(follow_symlinks=False) or S_ISREG(file.stat().st_mode):
-                documents.append(parse_profile(file, fmt))
+            if entry.is_file(follow_symlinks=False) or S_ISREG(Path(entry.path).stat().st_mode):
+                documents.append(parse_profile(entry.path, fmt))
             else:
-                failures.append(ScanFailure(path=file, error="not a regular file"))
+                failures.append(ScanFailure(path=Path(entry.path), error="not a regular file"))
         except (ParseError, ValidationError, OSError) as exc:
-            failures.append(ScanFailure(path=file, error=str(exc)))
+            failures.append(ScanFailure(path=Path(entry.path), error=str(exc)))
     documents.sort(key=lambda doc: doc.author_id)
     return ScanResult(documents=tuple(documents), failures=tuple(failures))
 

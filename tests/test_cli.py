@@ -744,3 +744,67 @@ def test_plot_of_an_id_with_a_control_character_is_well_formed(tmp_path):
     assert main(["plot", a, "--guides", "-o", str(out)]) == 0
     root = ElementTree.fromstring(out.read_bytes())
     assert root.find("{http://www.w3.org/2000/svg}path").get("data-label") == "ctl\ufffd"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(("merge", "t.json", "bad.csv"), "bad.csv: line 3: not an integer: 'x'", id="merge"),
+        pytest.param(("plot", "t.json", "bad.csv"), "bad.csv: line 3: not an integer: 'x'", id="plot"),
+        pytest.param(("compare", "t.json", "bad.csv"), "bad.csv: line 3: not an integer: 'x'", id="compare"),
+        pytest.param(("merge", "t.json", "-"), "-: invalid JSON at line 1, column 2", id="merge-stdin"),
+        # an OSError's own text names the path, so it is not named twice
+        pytest.param(("plot", "t.json", "gone.json"), "[Errno 2] No such file or directory: 'gone.json'", id="os-error"),
+    ],
+)
+def test_commands_of_several_inputs_name_the_input_that_failed_to_load(
+    tmp_path, capsys, monkeypatch, args, message
+):
+    _write_json(tmp_path / "t.json", "t", [3, 1])
+    (tmp_path / "bad.csv").write_text("citations\n3\nx\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"{"), encoding="utf-8"))
+    assert main([*args, "-o", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("compute", "a.json"), id="compute"),
+        pytest.param(("plot", "a.json"), id="plot-svg"),
+        pytest.param(("plot", "a.json", "--format", "csv"), id="plot-csv"),
+        pytest.param(("merge", "a.json"), id="merge"),
+        pytest.param(("table", "."), id="table"),
+    ],
+)
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+def test_a_child_whose_stdout_fails_ends_in_one_error_line(tmp_path, args, sink):
+    """Outputs this small sit in stdout's buffer, so the error comes on the flush, which must not repeat at exit."""
+    if sink == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    _write_json(tmp_path / "a.json", "a", [3, 1])
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)  # before the spawn, so every write to the pipe fails
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)  # every write fails with ENOSPC
+    try:
+        # -X dev also reports an error that the flush at exit hits and ignores
+        child = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "citemetric.cli", *args],
+            cwd=tmp_path,
+            env=_child_env(),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            encoding="utf-8",
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    line = "error: [Errno 32] Broken pipe\n" if sink == "closed-pipe" else "error: [Errno 28] No space left on device\n"
+    assert (child.returncode, child.stderr) == (1, line)

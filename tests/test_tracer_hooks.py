@@ -12,6 +12,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
@@ -74,3 +76,28 @@ def test_traced_merge_decodes_only_the_json_file(tmp_path):
     assert spans["ingest.parse"] == spans["profile.build"] == 2
     assert spans["collective.merge"] == spans["ingest.write_profile"] == 1
     assert trace.counts["profile.works"] == len(a) + len(b)
+
+
+@pytest.mark.parametrize(
+    "args, files, renders",
+    [
+        pytest.param(("compute", "a.csv"), 1, 0, id="compute"),
+        pytest.param(("plot", "a.json", "b.json", "--with-merged"), 2, 1, id="plot"),
+    ],
+)
+def test_traced_commands_on_named_files_open_each_span_once_per_file(tmp_path, args, files, renders):
+    # parse_profile builds the one Path that it reads each file through, whichever command names the file
+    (tmp_path / "a.csv").write_text("citations\n" + "".join(f"{c}\n" for c in COUNTS["c"] + [5]), encoding="utf-8")
+    for author in "ab":
+        document = {"author_id": author, "citations": COUNTS[author]}
+        (tmp_path / f"{author}.json").write_text(json.dumps(document), encoding="utf-8")
+    trace, code, stdout, stderr = tracer.traced_command(
+        tuple(str(tmp_path / arg) if arg.endswith(("json", "csv")) else arg for arg in args)
+    )
+    assert (code, stderr) == (0, b"")
+    assert stdout
+
+    spans = Counter(name for name, _, _, _ in trace.spans)
+    assert spans["ingest.read"] == spans["ingest.parse"] == spans["profile.build"] == files
+    assert trace.counts["ingest.files"] == files
+    assert spans["render.spec"] == spans["render.svg"] == renders
