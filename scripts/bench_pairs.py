@@ -16,6 +16,12 @@ count for neither).  ``gain`` marks a metric measured on at least ten
 pairs whose change won at least nine pairs in ten and whose median moved
 the right way by more than the base's interquartile range.
 
+With ``--trace``, each side runs ``bench/run.py --trace 1`` and the
+pairs are of the per-layer metrics instead, summarised the same way.  A
+count, a byte total or ``ingest.parsed_ratio`` that differs between the
+two sides of a pair, as a dropped or doubled span makes it, is printed
+as a failure, and the script exits 1.
+
 BASE and CHANGE are anything ``git archive`` takes; they must hold the
 same ``bench/`` and ``BENCHMARK.json``, so that both sides run one
 harness.  Uncommitted work can be measured as ``$(git stash create)``, a
@@ -46,9 +52,9 @@ def extract(revision: str) -> Path:
     return directory
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict[str, float]:
-    """The end-to-end metrics of one ``bench/run.py`` run in ``checkout``; raises if any command failed."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict[str, float]:
+    """The metrics of one ``bench/run.py`` run in ``checkout``, per layer if ``trace``; raises if any command failed."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(int(trace))]
     result = subprocess.run(argv, cwd=checkout, capture_output=True, encoding="utf-8")
     if result.returncode != 0:
         raise RuntimeError(f"{checkout}: bench/run.py exited {result.returncode}:\n{result.stderr}")
@@ -98,10 +104,26 @@ def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]], better: di
     return rows
 
 
+def exact_metrics(declared: list[dict]) -> list[str]:
+    """The metrics that the same inputs fix whatever the machine's speed: counts, byte totals, and
+    ``ingest.parsed_ratio``, which is documents over files."""
+    return [metric["name"] for metric in declared if metric["unit"] in ("count", "B") or metric["name"] == "ingest.parsed_ratio"]
+
+
+def mismatches(pairs: list[tuple[dict[str, float], dict[str, float]]], exact: list[str]) -> list[str]:
+    """One line per pair and metric in ``exact`` whose two sides differ; a pair lacking the metric is skipped."""
+    return [
+        f"pair {i}: {name} {base[name]:.10g} -> {change[name]:.10g}"
+        for i, (base, change) in enumerate(pairs, 1)
+        for name in exact
+        if name in base and name in change and base[name] != change[name]
+    ]
+
+
 def _format_row(row: dict) -> str:
     base, change = row["base"], row["change"]
     return (
-        f"{row['metric']:<16} {base[1]:>12.6g} [{base[0]:.6g}, {base[2]:.6g}]"
+        f"{row['metric']:<24} {base[1]:>12.6g} [{base[0]:.6g}, {base[2]:.6g}]"
         f"  ->  {change[1]:>12.6g} [{change[0]:.6g}, {change[2]:.6g}]"
         f"  {row['relative']:+7.2%}  wins {row['wins']}/{row['pairs']}, losses {row['losses']}"
         + ("  gain" if row["gain"] else "")
@@ -114,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", help="the revision under test")
     parser.add_argument("--workload", required=True, help="one workload named in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--trace", action="store_true", help="pair the per-layer metrics of traced runs instead")
     args = parser.parse_args(argv)
 
     git = ["git", "-C", str(ROOT)]
@@ -124,7 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [workload["name"] for workload in spec["workloads"]]
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    declared = spec["per_layer"] if args.trace else spec["end_to_end"]
+    better = {metric["name"]: metric["better"] for metric in declared}
+    exact = exact_metrics(declared)
 
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # run the cleanup below
     sides = {}
@@ -134,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         pairs = []
         for seed in range(1, args.pairs + 1):
             order = ("base", "change") if seed % 2 else ("change", "base")
-            metrics = {side: run_once(sides[side], args.workload, seed) for side in order}
+            metrics = {side: run_once(sides[side], args.workload, seed, args.trace) for side in order}
             pairs.append((metrics["base"], metrics["change"]))
             cells = ", ".join(
                 f"{name} {metrics['base'][name]:.6g} -> {metrics['change'][name]:.6g}"
@@ -149,7 +174,10 @@ def main(argv: list[str] | None = None) -> int:
           "median [first quartile, third quartile]")
     for row in summarize(pairs, better):
         print("  " + _format_row(row))
-    return 0
+    failures = mismatches(pairs, exact)
+    for failure in failures:
+        print(f"failure: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -110,10 +110,11 @@ def build_plot_spec(
 # surrogates, which UTF-8 cannot encode: U+DC80 to U+DCFF stand for the bytes of a non-UTF-8 file name
 _NOT_XML = dict.fromkeys([*range(9), 0xB, 0xC, *range(0xE, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")
 
-# a curve's path is written one block of vertices per %-format, so no string is built per
-# vertex; "%.2f" % v is the conversion f"{v:.2f}" makes
+# the curves' paths are written one block of ranks at a time, so no string is built per vertex:
+# one %-format writes a block's x texts into a template, "x %s L x %s …", and one more per curve
+# fills in its y texts; "%.2f" % v is the conversion f"{v:.2f}" makes
 _BLOCK = 1024
-_BLOCK_FORMAT = " L ".join(["%.2f %s"] * _BLOCK)
+_BLOCK_FORMAT = " L ".join(["%.2f %%s"] * _BLOCK)
 
 
 def _nice_step(span: float) -> float:
@@ -247,20 +248,26 @@ def render_svg(spec: PlotSpec) -> bytes:
             f'stroke="#999999" stroke-width="0.8"/>'
         )
 
-    # curves
+    # curves: every curve has the same x text at a rank, so each block of ranks is formatted
+    # once, into a template that each curve covering the whole block fills with its y texts;
+    # a curve that ends inside the block writes its x and y texts in one direct format
+    blocks: list[list[str]] = [[] for _ in spec.curves]
+    for start in range(0, x_data, _BLOCK):
+        # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
+        xs = tuple([ml + (x / x_max) * plot_w for x in range(start + 1, min(start + _BLOCK, x_data) + 1)])
+        template = (_BLOCK_FORMAT if len(xs) == _BLOCK else " L ".join(["%.2f %%s"] * len(xs))) % xs
+        for curve_blocks, curve in zip(blocks, spec.curves):
+            ys = curve.ordinates[start : start + _BLOCK]
+            if len(ys) == len(xs):
+                curve_blocks.append(template % tuple(map(y_text.__getitem__, ys)))
+            elif ys:
+                pairs = chain.from_iterable(zip(xs, map(y_text.__getitem__, ys)))
+                curve_blocks.append(" L ".join(["%.2f %s"] * len(ys)) % tuple(pairs))
     for i, curve in enumerate(spec.curves):
         color = _PALETTE[i % len(_PALETTE)]
-        blocks = []
-        for start in range(0, len(curve.ordinates), _BLOCK):
-            ys = curve.ordinates[start : start + _BLOCK]
-            # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
-            xs = [ml + (x / x_max) * plot_w for x in range(start + 1, start + len(ys) + 1)]
-            block_format = _BLOCK_FORMAT if len(ys) == _BLOCK else " L ".join(["%.2f %s"] * len(ys))
-            blocks.append(block_format % tuple(chain.from_iterable(zip(xs, map(y_text.__getitem__, ys)))))
-        points = " L ".join(blocks)
         dash = ' stroke-dasharray="7 4"' if curve.dashed else ""
-        parts.append(
-            f'<path class="curve" data-label={quoteattr(labels[i])} d="M {points}" '
+        parts.append(  # joined in place: a points string kept to the next curve raised the peak RSS
+            f'<path class="curve" data-label={quoteattr(labels[i])} d="M {" L ".join(blocks[i])}" '
             f'fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
         parts.append(

@@ -1,13 +1,17 @@
 """The summary of scripts/bench_pairs.py: quartiles, wins and the gain rule."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 
-from bench_pairs import quartiles, summarize  # noqa: E402  (from scripts/, on the path above)
+from bench_pairs import exact_metrics, mismatches, quartiles, summarize  # noqa: E402  (from scripts/, on the path above)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def _pairs(metric, base, change):
@@ -61,3 +65,38 @@ def test_rows_follow_the_given_order_and_skip_metrics_a_pair_lacks():
     rows = summarize(pairs, {"b": "lower", "c": "lower", "a": "higher"})
     assert [row["metric"] for row in rows] == ["b", "a"]
     assert summarize([], {"a": "lower"}) == []
+
+
+def test_per_layer_metrics_are_summarised_in_their_declared_direction():
+    better = {metric["name"]: metric["better"] for metric in SPEC["per_layer"]}
+    base = [0.077, 0.080, 0.075, 0.078, 0.079, 0.076, 0.081, 0.077, 0.078, 0.080]
+    pairs = [
+        (
+            {"render.svg_s": b, "render.spec_s": 0.002, "render.vertices": 180043.0},
+            {"render.svg_s": b - 0.015, "render.spec_s": 0.002, "render.vertices": 180043.0},
+        )
+        for b in base
+    ]
+    rows = {row["metric"]: row for row in summarize(pairs, better)}
+    assert list(rows) == ["render.spec_s", "render.svg_s", "render.vertices"]  # BENCHMARK.json's order
+    assert (rows["render.svg_s"]["wins"], rows["render.svg_s"]["gain"]) == (10, True)
+    for flat in ("render.spec_s", "render.vertices"):
+        assert (rows[flat]["wins"], rows[flat]["losses"], rows[flat]["gain"]) == (0, 0, False)
+
+
+def test_counts_byte_totals_and_the_parsed_ratio_must_match_exactly():
+    assert exact_metrics(SPEC["end_to_end"]) == []
+    assert exact_metrics(SPEC["per_layer"]) == [
+        "ingest.files", "ingest.bytes_in", "ingest.parsed_ratio", "ingest.bytes_out", "profile.works",
+        "indices.reports", "collective.works_pooled", "render.svg_bytes", "render.vertices",
+    ]
+    same = {"ingest.files": 2000.0, "ingest.parsed_ratio": 1.0, "render.svg_s": 0.07}
+    dropped = {"ingest.files": 1999.0, "ingest.parsed_ratio": 1.0, "render.svg_s": 0.06}  # a span lost
+    doubled = {"ingest.files": 2000.0, "ingest.parsed_ratio": 2.0}  # and a metric this side lacks
+    pairs = [(same, dict(same)), (same, dropped), (same, doubled)]
+    # render.svg_s is a time, which may differ; metrics no side reports, such as render.vertices, are skipped
+    assert mismatches(pairs, exact_metrics(SPEC["per_layer"])) == [
+        "pair 2: ingest.files 2000 -> 1999",
+        "pair 3: ingest.parsed_ratio 1 -> 2",
+    ]
+    assert mismatches([(same, dropped)], ["render.svg_s"]) == ["pair 1: render.svg_s 0.07 -> 0.06"]

@@ -21,10 +21,15 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _child_env(encoding="utf-8"):
-    """A CLI child's environment: this checkout's source, and no bytecode written into it if the tests write none."""
+    """A CLI child's environment: this checkout's source, and the tests' own guards.
+
+    Those are no bytecode written into the checkout, the development mode's
+    checks and a warning for text read or written in the locale's encoding.
+    """
     env = {"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
-    if "PYTHONDONTWRITEBYTECODE" in os.environ:
-        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONDEVMODE", "PYTHONWARNDEFAULTENCODING"):
+        if name in os.environ:
+            env[name] = os.environ[name]
     return env
 
 

@@ -1,9 +1,11 @@
 """The CLI's one-line promise, over generated file bytes.
 
-Whatever the input files hold, each of the five subcommands ends in
+Whatever the input files or standard input hold, and whether or not
+the ``-o`` target can be written, each of the five subcommands ends in
 either its output or ``error:`` lines on stderr, never a traceback, and
 it exits 1 exactly when it wrote an error line.  ``table`` goes on past
-a bad file: one error line per bad file, one row per good one.
+a bad file: one error line per bad file, one row per good one, and one
+more error line when its table cannot be written.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -81,11 +84,15 @@ def _file(draw):
     return fmt, data
 
 
-def _run(args):
-    """``main`` in process: exit code, stdout bytes and stderr text."""
+def _run(args, stdin=b""):
+    """``main`` in process, with ``stdin`` as its standard input: exit code, stdout bytes and stderr text."""
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # with .buffer, as the CLI writes bytes
     stderr = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with (
+        mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")),
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+    ):
         code = main(args)
     output = stdout.buffer.getvalue()
     stdout.close()
@@ -113,23 +120,39 @@ def _args(command, directory, paths, flag):
 
 @pytest.mark.parametrize("command", ["compute", "table", "merge", "plot", "compare"])
 @settings(max_examples=100, deadline=None)
-@given(files=st.lists(_file(), min_size=1, max_size=3), flag=st.booleans())
-def test_any_file_bytes_end_in_output_or_error_lines_and_the_exit_code_says_which(command, files, flag):
+@given(
+    files=st.lists(_file(), min_size=1, max_size=3),
+    flag=st.booleans(),
+    stdin=st.one_of(st.none(), st.integers(0, 2)),  # the input, if any, read as - from standard input
+    output=st.sampled_from([None, None, "missing", "directory"]),  # an -o target that cannot be written
+)
+def test_any_file_bytes_end_in_output_or_error_lines_and_the_exit_code_says_which(command, files, flag, stdin, output):
     with tempfile.TemporaryDirectory() as directory:
         paths = []
         for i, (fmt, data) in enumerate(files):
             path = Path(directory, f"p{i}.{fmt}")
             path.write_bytes(data)
             paths.append(str(path))
-        code, out, err = _run(_args(command, directory, paths, flag))
+        args = _args(command, directory, paths, flag)
+        piped = b""
+        if stdin is not None and command != "table":  # table reads a directory
+            at = 0 if command == "compute" else stdin % len(paths)  # compute reads the first path
+            args[args.index(paths[at])], piped = "-", files[at][1]
+        if output is not None:
+            args += ["-o", str(Path(directory, "missing", "out")) if output == "missing" else directory]
+        code, out, err = _run(args, piped)
         lines = _error_lines(err)
         assert code == (1 if lines else 0)
+        if output is not None:
+            assert lines and out == b""
         if command != "table":
             return
         bad = [path for path in paths if _run(["compute", path])[0] == 1]
         good = len(paths) - len(bad)
         assert sorted(line.split(": ")[1] for line in lines[: len(bad)]) == sorted(bad)
-        if good:
+        if good and output is not None:
+            assert len(lines) == len(bad) + 1  # and the -o target's line
+        elif good:
             rows = list(csv.reader(io.StringIO(out.decode("utf-8"), newline="")))[1:]
             assert len(lines) == len(bad)
             assert len(rows) == good + flag  # and the total row

@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citemetric import (
@@ -337,3 +337,27 @@ def _block_curves(draw):
 def test_curve_paths_written_in_blocks_equal_one_f_string_per_vertex(curves, log_y):
     spec = render.PlotSpec(curves=curves, markers=(), guide_lines=(), log_y=log_y)
     assert re.findall(r' d="([^"]*)"', render_svg(spec).decode("utf-8")) == _reference_paths(spec)
+
+
+@st.composite
+def _curves_of_blocks(draw):
+    """1 to 4 curves of 1 to 3 blocks and a vertex, exact multiples of a block among them, the longest anywhere."""
+    block = render._BLOCK
+    length = st.one_of(st.integers(1, 3 * block + 1), st.sampled_from([block, 2 * block, 3 * block]))
+    curves = []
+    for i, n in enumerate(draw(st.lists(length, min_size=1, max_size=4))):
+        pool = draw(st.lists(st.integers(0, 2**53), min_size=1, max_size=6))
+        curves.append(render.Curve(f"c{i}", tuple(pool[j % len(pool)] for j in range(n))))
+    return tuple(curves)
+
+
+@settings(max_examples=60)
+@given(_curves_of_blocks(), st.booleans())
+@example(  # equal lengths, the longest in the middle, and curves that end inside a shared block
+    tuple(render.Curve(f"c{i}", (9,) * (n - 1) + (0,)) for i, n in enumerate([1025, 3072, 3072, 2])), False
+)
+def test_curves_written_block_by_block_keep_their_order_and_equal_one_f_string_per_vertex(curves, log_y):
+    spec = render.PlotSpec(curves=curves, markers=(), guide_lines=(), log_y=log_y)
+    svg = render_svg(spec).decode("utf-8")
+    assert re.findall(r' d="([^"]*)"', svg) == _reference_paths(spec)
+    assert re.findall(r'<path class="curve" data-label="([^"]*)"', svg) == [curve.label for curve in curves]
