@@ -9,8 +9,10 @@ sqrt(c_sigma), and kh is the largest of the three.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import DomainError, EmptyProfileError, MissingFieldError
@@ -37,6 +39,14 @@ class IndexReport(NamedTuple):
     kh: float
 
 
+def _positive(value: float) -> bool:
+    """Whether ``value > 0``: false for a NaN, which fails every comparison, of any type."""
+    try:
+        return bool(value > 0)
+    except ArithmeticError:  # a Decimal NaN raises InvalidOperation rather than compare
+        return False
+
+
 def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     """Intersect the ray c = slope * r with the citation curve.
 
@@ -49,11 +59,7 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     any type (NumPy's have no ``as_integer_ratio()``), and
     ``as_integer_ratio()`` for any other real.
     """
-    try:
-        positive = slope > 0
-    except ArithmeticError:  # a Decimal NaN raises InvalidOperation rather than compare
-        positive = False
-    if not positive:
+    if not _positive(slope):
         raise DomainError(f"slope must be positive, got {slope!r}")
     if slope == math.inf:
         ratio = (1, 0)  # the clamp takes it as any steep ray
@@ -103,6 +109,10 @@ def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
     The profile needs cited works.  A level at or above c_max is met at
     the top work, (1, c_max), as ``line_crossing`` clamps a steep ray.
     """
+    if not _positive(value):
+        raise DomainError(f"level must be positive, got {value!r}")
+    if profile.r == 0:
+        raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works")
     if value >= profile.c_max:
         return CrossingPoint(r_star=1.0, c_star=float(profile.c_max))
     # C(k) > value >= C(k + 1), so the segment is never flat
@@ -131,15 +141,13 @@ def g_index_egghe(profile: CitationProfile) -> int:
     """Largest g whose top-g works total at least g * g citations.
 
     Ranks past the last cited work count as zero, so g may exceed r but
-    never r0.
+    never r0.  The top-g total less g * g is 0 at g = 0 and changes by
+    C(g) - (2g - 1) at rank g, a step that falls as g grows; so once it is
+    negative it stays so, the ranks that pass form a prefix, and one
+    bisect finds its end.
     """
-    best = 0
-    total = 0
-    for g in range(1, profile.r0 + 1):
-        total += profile.counts[g - 1]
-        if total >= g * g:
-            best = g
-    return best
+    totals = list(accumulate(profile.counts))
+    return bisect.bisect_left(range(1, profile.r0 + 1), True, key=lambda g: totals[g - 1] < g * g)
 
 
 def m_index(profile: CitationProfile) -> float:
@@ -151,14 +159,14 @@ def m_index(profile: CitationProfile) -> float:
 
 def i_k(profile: CitationProfile, k: int) -> int:
     """Number of works with at least k citations."""
-    if k < 1:
+    if not (k >= 1):  # so that a NaN fails too
         raise DomainError(f"threshold must be at least 1, got {k!r}")
     return first_vertex(profile, lambda rank, c: c < k) - 1
 
 
 def c_k(profile: CitationProfile, k: int) -> int:
     """Citations collected by the k most-cited works."""
-    if k < 1:
+    if not (k >= 1):
         raise DomainError(f"rank cutoff must be at least 1, got {k!r}")
     return sum(profile.counts[:k])  # the counts past r are zeros
 

@@ -42,7 +42,7 @@ class CitationProfile(NamedTuple):
             raise EmptyProfileError(
                 f"profile {self.author_id!r} has no cited works; the curve is undefined"
             )
-        if x < 0 or x > self.r + 1:
+        if not (0 <= x <= self.r + 1):  # so that a NaN is outside too
             raise DomainError(f"rank {x!r} outside the curve domain [0, {self.r + 1}]")
         if x < 1:
             return float(self.c_max)

@@ -11,7 +11,6 @@ so that importing the CLI loads no ``xml`` module.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .collective import CollectiveProfile
@@ -110,11 +109,8 @@ def build_plot_spec(
 # surrogates, which UTF-8 cannot encode: U+DC80 to U+DCFF stand for the bytes of a non-UTF-8 file name
 _NOT_XML = dict.fromkeys([*range(9), 0xB, 0xC, *range(0xE, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")
 
-# the curves' paths are written one block of ranks at a time, so no string is built per vertex:
-# one %-format writes a block's x texts into a template, "x %s L x %s …", and one more per curve
-# fills in its y texts; "%.2f" % v is the conversion f"{v:.2f}" makes
+# the curves' paths are written one block of ranks at a time, so no string is built per vertex
 _BLOCK = 1024
-_BLOCK_FORMAT = " L ".join(["%.2f %%s"] * _BLOCK)
 
 
 def _nice_step(span: float) -> float:
@@ -127,7 +123,12 @@ def _nice_step(span: float) -> float:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+    return "%.2f" % value
+
+
+def _path_template(xs: tuple[float, ...]) -> str:
+    """The x texts of a block of ranks in one %-format, "x %s L x %s …", for a curve's y texts."""
+    return ("%.2f %%s L " * len(xs))[:-3] % xs  # repeated and cut: a join of len(xs) parts costs 25 times as much
 
 
 def escape(text: str) -> str:
@@ -189,80 +190,62 @@ def render_svg(spec: PlotSpec) -> bytes:
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="#ffffff"/>',
     ]
 
+    # every <line> and <text> is written by one of these two, in one attribute order
+    def line(attrs: str, x1: float, y1: float, x2: float, y2: float, stroke: str = "#000000", sw: str = "1") -> None:
+        parts.append(
+            f'<line {attrs} x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{sw}"/>'
+        )
+
+    def text(x: str, y: float, body: str, anchor: str = "", size: str = "11", tail: str = "") -> None:
+        anchored = f' text-anchor="{anchor}"' if anchor else ""
+        parts.append(
+            f'<text x="{x}" y="{_fmt(y)}"{anchored} font-family="sans-serif" font-size="{size}"{tail}>{body}</text>'
+        )
+
     # axes
-    parts.append(
-        f'<line class="axis" x1="{_fmt(ml)}" y1="{_fmt(mt + plot_h)}" '
-        f'x2="{_fmt(ml + plot_w)}" y2="{_fmt(mt + plot_h)}" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{_fmt(ml)}" y1="{_fmt(mt)}" '
-        f'x2="{_fmt(ml)}" y2="{_fmt(mt + plot_h)}" stroke="#000000" stroke-width="1"/>'
-    )
+    line('class="axis"', ml, mt + plot_h, ml + plot_w, mt + plot_h)
+    line('class="axis"', ml, mt, ml, mt + plot_h)
 
     # x ticks
     tick = 0.0
     while tick <= x_max + 1e-9:
         px = sx(tick)
-        parts.append(
-            f'<line class="tick" x1="{_fmt(px)}" y1="{_fmt(mt + plot_h)}" '
-            f'x2="{_fmt(px)}" y2="{_fmt(mt + plot_h + 5)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(mt + plot_h + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:g}</text>'
-        )
+        line('class="tick"', px, mt + plot_h, px, mt + plot_h + 5)
+        text(_fmt(px), mt + plot_h + 18, f"{tick:g}", "middle")
         tick += x_step
 
     # y ticks: decades on a log axis
     level = 1.0 if spec.log_y else 0.0
     while level <= y_max + 1e-9:
         py = sy(level)
-        parts.append(
-            f'<line class="tick" x1="{_fmt(ml - 5)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(ml)}" y2="{_fmt(py)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(ml - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{level:g}</text>'
-        )
+        line('class="tick"', ml - 5, py, ml, py)
+        text(_fmt(ml - 8), py + 4, f"{level:g}", "end")
         level = level * 10.0 if spec.log_y else level + y_step
 
     # axis titles
-    parts.append(
-        f'<text x="{_fmt(ml + plot_w / 2)}" y="{_fmt(height - 10)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">rank</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt(mt + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_fmt(mt + plot_h / 2)})">citations</text>'
-    )
+    text(_fmt(ml + plot_w / 2), height - 10, "rank", "middle", "12")
+    text("16", mt + plot_h / 2, "citations", "middle", "12", f' transform="rotate(-90 16 {_fmt(mt + plot_h / 2)})"')
 
     # guide rays, clipped to the data box
     for guide in spec.guide_lines:
         x_end = min(x_max, y_max / guide.slope)
-        parts.append(
-            f'<line class="guide" data-label={quoteattr(guide.label.translate(_NOT_XML))} '
-            f'x1="{_fmt(sx(0.0))}" y1="{_fmt(sy(0.0))}" '
-            f'x2="{_fmt(sx(x_end))}" y2="{_fmt(sy(guide.slope * x_end))}" '
-            f'stroke="#999999" stroke-width="0.8"/>'
-        )
+        attrs = f'class="guide" data-label={quoteattr(guide.label.translate(_NOT_XML))}'
+        line(attrs, sx(0.0), sy(0.0), sx(x_end), sy(guide.slope * x_end), "#999999", "0.8")
 
     # curves: every curve has the same x text at a rank, so each block of ranks is formatted
-    # once, into a template that each curve covering the whole block fills with its y texts;
-    # a curve that ends inside the block writes its x and y texts in one direct format
+    # once, into a template that each curve fills with its y texts; a curve that ends inside
+    # the block fills the template of the ranks it covers
     blocks: list[list[str]] = [[] for _ in spec.curves]
     for start in range(0, x_data, _BLOCK):
         # x inlined as sx computes it; ml + x * (plot_w / x_max) would change the bytes
         xs = tuple([ml + (x / x_max) * plot_w for x in range(start + 1, min(start + _BLOCK, x_data) + 1)])
-        template = (_BLOCK_FORMAT if len(xs) == _BLOCK else " L ".join(["%.2f %%s"] * len(xs))) % xs
+        template = _path_template(xs)
         for curve_blocks, curve in zip(blocks, spec.curves):
             ys = curve.ordinates[start : start + _BLOCK]
-            if len(ys) == len(xs):
-                curve_blocks.append(template % tuple(map(y_text.__getitem__, ys)))
-            elif ys:
-                pairs = chain.from_iterable(zip(xs, map(y_text.__getitem__, ys)))
-                curve_blocks.append(" L ".join(["%.2f %s"] * len(ys)) % tuple(pairs))
+            if ys:
+                fill = template if len(ys) == len(xs) else _path_template(xs[: len(ys)])
+                curve_blocks.append(fill % tuple(map(y_text.__getitem__, ys)))
     for i, curve in enumerate(spec.curves):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="7 4"' if curve.dashed else ""
@@ -270,21 +253,17 @@ def render_svg(spec: PlotSpec) -> bytes:
             f'<path class="curve" data-label={quoteattr(labels[i])} d="M {" L ".join(blocks[i])}" '
             f'fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
         )
-        parts.append(
-            f'<text x="{_fmt(sx(1) + 5)}" y="{_fmt(sy(curve.ordinates[0]) - 5)}" font-family="sans-serif" '
-            f'font-size="11" fill="{color}">{escape(labels[i])}</text>'
-        )
+        text(_fmt(sx(1) + 5), sy(curve.ordinates[0]) - 5, escape(labels[i]), tail=f' fill="{color}"')
 
     # markers
     for marker in spec.markers:
         color = _PALETTE[marker.curve % len(_PALETTE)]
         px, py = sx(marker.point[0]), sy(marker.point[1])
         attrs = f'class="marker marker-{marker.kind}" data-label={quoteattr(labels[marker.curve])}'
-        if marker.kind == "h":
-            pts = f"{_fmt(px)},{_fmt(py - 5)} {_fmt(px - 4.5)},{_fmt(py + 3.5)} {_fmt(px + 4.5)},{_fmt(py + 3.5)}"
-            parts.append(f'<polygon {attrs} points="{pts}" fill="{color}"/>')
-        elif marker.kind == "g":
-            pts = f"{_fmt(px)},{_fmt(py + 5)} {_fmt(px - 4.5)},{_fmt(py - 3.5)} {_fmt(px + 4.5)},{_fmt(py - 3.5)}"
+        if marker.kind in ("h", "g"):  # one triangle: h points up, g down
+            tip = -1 if marker.kind == "h" else 1
+            base = _fmt(py - 3.5 * tip)
+            pts = f"{_fmt(px)},{_fmt(py + 5 * tip)} {_fmt(px - 4.5)},{base} {_fmt(px + 4.5)},{base}"
             parts.append(f'<polygon {attrs} points="{pts}" fill="{color}"/>')
         elif marker.kind == "kh1":
             parts.append(

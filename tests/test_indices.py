@@ -113,6 +113,24 @@ def test_crossing_rejects_nan_and_non_positive_slopes_of_any_type(slope):
         line_crossing(build_profile("a", [3]), slope)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda p: i_k(p, math.nan), DomainError, id="i_k-nan"),
+        pytest.param(lambda p: c_k(p, math.nan), DomainError, id="c_k-nan"),
+        pytest.param(lambda p: p.citation_at(math.nan), DomainError, id="citation_at-nan"),
+        pytest.param(lambda p: level_crossing(p, math.nan), DomainError, id="level-nan"),
+        pytest.param(lambda p: level_crossing(p, Decimal("NaN")), DomainError, id="level-decimal-nan"),
+        pytest.param(lambda p: level_crossing(p, -1), DomainError, id="level-negative"),
+        pytest.param(lambda p: level_crossing(p, 0), DomainError, id="level-zero"),
+        pytest.param(lambda p: level_crossing(build_profile("a", [0, 0]), 1.0), EmptyProfileError, id="level-uncited"),
+    ],
+)
+def test_numbers_outside_the_domain_raise_the_domain_rule_nan_included(call, error):
+    with pytest.raises(error):
+        call(build_profile("a", [9, 5, 3, 1, 0]))
+
+
 def test_h_index_examples():
     assert h_index(build_profile("a", [7, 1])) == 1
     assert h_index(build_profile("a", [10, 5, 2])) == 2
