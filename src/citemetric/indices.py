@@ -15,8 +15,8 @@ import numbers
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import DomainError, EmptyProfileError, MissingFieldError
-from .profile import CitationProfile, CrossingPoint, first_vertex
+from .errors import MissingFieldError
+from .profile import CitationProfile, CrossingPoint, check_cited, check_domain, first_vertex
 
 
 class IndexReport(NamedTuple):
@@ -39,14 +39,6 @@ class IndexReport(NamedTuple):
     kh: float
 
 
-def _positive(value: float) -> bool:
-    """Whether ``value > 0``: false for a NaN, which fails every comparison, of any type."""
-    try:
-        return bool(value > 0)
-    except ArithmeticError:  # a Decimal NaN raises InvalidOperation rather than compare
-        return False
-
-
 def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     """Intersect the ray c = slope * r with the citation curve.
 
@@ -59,8 +51,7 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     any type (NumPy's have no ``as_integer_ratio()``), and
     ``as_integer_ratio()`` for any other real.
     """
-    if not _positive(slope):
-        raise DomainError(f"slope must be positive, got {slope!r}")
+    check_domain(lambda: slope > 0, "slope must be positive, got {!r}", slope)
     if slope == math.inf:
         ratio = (1, 0)  # the clamp takes it as any steep ray
     elif isinstance(slope, numbers.Integral):
@@ -77,8 +68,7 @@ def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> Crossing
     correctly rounded int / int division, and a crossing exactly on a display
     tie such as 59.45 stays on it.
     """
-    if profile.r == 0:
-        raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works")
+    check_cited(profile)
     if p >= profile.c_max * q:
         return CrossingPoint(r_star=profile.c_max * q / p, c_star=float(profile.c_max))
     # The first vertex on or below the ray closes the crossing segment (k, k + 1].
@@ -109,10 +99,8 @@ def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
     The profile needs cited works.  A level at or above c_max is met at
     the top work, (1, c_max), as ``line_crossing`` clamps a steep ray.
     """
-    if not _positive(value):
-        raise DomainError(f"level must be positive, got {value!r}")
-    if profile.r == 0:
-        raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works")
+    check_domain(lambda: value > 0, "level must be positive, got {!r}", value)
+    check_cited(profile)
     if value >= profile.c_max:
         return CrossingPoint(r_star=1.0, c_star=float(profile.c_max))
     # C(k) > value >= C(k + 1), so the segment is never flat
@@ -159,23 +147,19 @@ def m_index(profile: CitationProfile) -> float:
 
 def i_k(profile: CitationProfile, k: int) -> int:
     """Number of works with at least k citations."""
-    if not (k >= 1):  # so that a NaN fails too
-        raise DomainError(f"threshold must be at least 1, got {k!r}")
+    check_domain(lambda: k >= 1, "threshold must be at least 1, got {!r}", k)
     return first_vertex(profile, lambda rank, c: c < k) - 1
 
 
 def c_k(profile: CitationProfile, k: int) -> int:
-    """Citations collected by the k most-cited works."""
-    if not (k >= 1):
-        raise DomainError(f"rank cutoff must be at least 1, got {k!r}")
-    return sum(profile.counts[:k])  # the counts past r are zeros
+    """Citations collected by the k most-cited works, for a whole number k >= 1 of any numeric type."""
+    check_domain(lambda: k >= 1 and k == int(k), "rank cutoff must be a whole number of at least 1, got {!r}", k)
+    return sum(profile.counts[: int(k)])  # the counts past r are zeros
 
 
 def kh1(profile: CitationProfile) -> float:
     """Crossing ordinate of the curve with the mean-citation ray c = c_s * r."""
-    if profile.r == 0:
-        return 0.0
-    return kh1_crossing(profile).c_star
+    return kh1_crossing(profile).c_star if profile.r else 0.0
 
 
 def kh2(profile: CitationProfile) -> float:
@@ -185,9 +169,7 @@ def kh2(profile: CitationProfile) -> float:
 
 def kh3(profile: CitationProfile) -> float:
     """Crossing ordinate of the curve with the ray of slope sqrt(c_sigma)."""
-    if profile.r == 0:
-        return 0.0
-    return kh3_crossing(profile).c_star
+    return kh3_crossing(profile).c_star if profile.r else 0.0
 
 
 def kh_max(profile: CitationProfile) -> float:

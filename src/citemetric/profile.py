@@ -38,12 +38,8 @@ class CitationProfile(NamedTuple):
         Defined on [0, r + 1]: constant c_max on [0, 1), linear between
         integer ranks afterwards, 0 at r + 1.
         """
-        if self.r == 0:
-            raise EmptyProfileError(
-                f"profile {self.author_id!r} has no cited works; the curve is undefined"
-            )
-        if not (0 <= x <= self.r + 1):  # so that a NaN is outside too
-            raise DomainError(f"rank {x!r} outside the curve domain [0, {self.r + 1}]")
+        check_cited(self)
+        check_domain(lambda: 0 <= x <= self.r + 1, "rank {!r} outside the curve domain [0, {}]", x, self.r + 1)
         if x < 1:
             return float(self.c_max)
         k = math.floor(x)
@@ -54,6 +50,25 @@ class CitationProfile(NamedTuple):
     def vertex(self, j: int) -> int:
         """C(j) at an integer rank j >= 1: the j-th count, and 0 from r + 1 on (first_vertex inlines this rule)."""
         return self.counts[j - 1] if j <= self.r else 0
+
+
+def check_cited(profile: CitationProfile) -> None:
+    """Reject a profile without cited works, on which the curve is undefined."""
+    if profile.r == 0:
+        raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works; the curve is undefined")
+
+
+def check_domain(inside: Callable[[], object], message: str, *args: object) -> None:
+    """Raise DomainError, with ``message.format(*args)``, unless ``inside()`` holds.
+
+    A test that raises ArithmeticError fails: a Decimal NaN signals rather than compare, and ``int(inf)`` overflows.
+    """
+    try:
+        if inside():
+            return
+    except ArithmeticError:
+        pass
+    raise DomainError(message.format(*args))
 
 
 class CrossingPoint(NamedTuple):

@@ -595,6 +595,18 @@ def test_cli_import_loads_no_xml_or_network_modules():
     assert child.stdout == "[]\n"
 
 
+def test_the_package_loads_the_standard_library_only():
+    # -S as above; __main__ is the child's own -c code
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import citemetric, citemetric.cli, citemetric.synth; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names - {'__main__'}))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(_SRC)], capture_output=True, text=True, encoding="utf-8", check=True
+    )
+    assert child.stdout == "['citemetric']\n"
+
+
 def test_merge_document_bytes_are_pinned(tmp_path):
     """The merged document of two 10^5-work Pareto profiles, hashed before write_profile wrote in blocks."""
     rng = random.Random(7)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citemetric import (
     DomainError,
@@ -124,6 +126,14 @@ def test_crossing_rejects_nan_and_non_positive_slopes_of_any_type(slope):
         pytest.param(lambda p: level_crossing(p, -1), DomainError, id="level-negative"),
         pytest.param(lambda p: level_crossing(p, 0), DomainError, id="level-zero"),
         pytest.param(lambda p: level_crossing(build_profile("a", [0, 0]), 1.0), EmptyProfileError, id="level-uncited"),
+        pytest.param(lambda p: i_k(p, Decimal("NaN")), DomainError, id="i_k-decimal-nan"),
+        pytest.param(lambda p: i_k(p, Decimal("sNaN")), DomainError, id="i_k-decimal-snan"),
+        pytest.param(lambda p: c_k(p, Decimal("NaN")), DomainError, id="c_k-decimal-nan"),
+        pytest.param(lambda p: c_k(p, Decimal("sNaN")), DomainError, id="c_k-decimal-snan"),
+        pytest.param(lambda p: p.citation_at(Decimal("NaN")), DomainError, id="citation_at-decimal-nan"),
+        pytest.param(lambda p: p.citation_at(Decimal("sNaN")), DomainError, id="citation_at-decimal-snan"),
+        pytest.param(lambda p: c_k(p, 2.5), DomainError, id="c_k-not-whole"),
+        pytest.param(lambda p: c_k(p, math.inf), DomainError, id="c_k-inf"),
     ],
 )
 def test_numbers_outside_the_domain_raise_the_domain_rule_nan_included(call, error):
@@ -179,6 +189,49 @@ def test_i_k_and_c_k():
     empty = build_profile("a", [])
     assert i_k(empty, 10) == 0
     assert c_k(empty, 10) == 0
+
+
+def _numbers_of_every_type():
+    """Negatives, 0, 0.5, whole numbers, 2.5, ints past 2**64, +-inf and NaNs, as each type that takes them.
+
+    The integer types truncate 0.5 and 2.5, which adds whole numbers only.
+    """
+    numbers = [Decimal("NaN"), Decimal("sNaN"), np.float32("nan")]
+    for value in (-3, -1, 0, 0.5, 1, 2, 2.5, 3, 10, 2**64 + 5, math.inf, -math.inf, math.nan):
+        for kind in (int, float, Fraction, Decimal, np.int64, np.float64):
+            try:
+                numbers.append(kind(value))
+            except (ValueError, OverflowError):  # a NaN or an infinity as an int or a Fraction, 2**64 + 5 as an int64
+                pass
+    return numbers
+
+
+def _whole(value):
+    try:
+        return value == int(value)
+    except (ValueError, OverflowError):  # NaNs and infinities
+        return False
+
+
+def _outcome(call, *args):
+    """What the call returns, or the type of the citemetric error it raises."""
+    try:
+        return call(*args)
+    except (DomainError, EmptyProfileError) as error:
+        return type(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([i_k, c_k, line_crossing, level_crossing, lambda p, x: p.citation_at(x)]),
+    st.sampled_from([[9, 5, 3, 1, 0], [0, 0], []]),
+    st.sampled_from(_numbers_of_every_type()),
+)
+def test_a_number_of_any_type_returns_or_raises_the_domain_or_empty_rule(call, counts, value):
+    p = build_profile("a", counts)
+    result = _outcome(call, p, value)  # any other exception fails the test
+    if call in (i_k, c_k) and _whole(value):
+        assert result == _outcome(call, p, int(value))
 
 
 def test_kh_values_for_two_work_profile():
