@@ -15,7 +15,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from stat import S_ISREG
+from typing import BinaryIO, Sequence
 
 from .collective import collective_report, merge_profiles
 from .errors import CitemetricError, ValidationError
@@ -23,6 +24,7 @@ from .indices import IndexReport, compute_report
 from .ingest import (
     ProfileDocument,
     display_cells,
+    load_names_are_own,
     parse_profile,
     scan_directory,
     write_profile,
@@ -47,14 +49,62 @@ def _load_document(path: str) -> ProfileDocument:
     return parse_profile(path)
 
 
-def _load_documents(paths: Sequence[str]) -> Iterator[ProfileDocument]:
-    """Each input's document in turn; a load error names its input, as ``table``'s per-file lines do."""
+def _load_profile(path: str) -> tuple[CitationProfile, str | None]:
+    """One named input's profile and source; a load error names the input, as ``table``'s per-file lines do."""
+    try:
+        document = _load_document(path)
+        return document.to_profile(), document.source
+    except CitemetricError as exc:
+        raise CitemetricError(f"{path}: {exc}") from exc
+    except MemoryError:
+        pass  # leaving the handler lets go of what the failed load held
+    raise CitemetricError(f"{path}: out of memory")
+
+
+# Each half of the inputs needs this many bytes of regular files before a forked
+# child loads the second one.  The fork costs both processes a copy-on-write fault
+# on each page they write afterwards, and the child's profiles a marshal round trip.
+# Measured as whole `merge A B` processes, one process against two (2 cores, Python
+# 3.11, medians of 20 alternating runs, Pareto counts): 5·10^4 works a file (157 KB
+# as JSON, 108 KB as CSV) 177 → 171 and 176 → 174 ms, and `plot` of the JSON pair
+# 229 → 234 ms; 10^5 works (315 KB, 215 KB) 224 → 209 and 226 → 209 ms.
+_TWO_PROCESS_BYTES = 200_000
+
+
+def _child_half(paths: Sequence[str]) -> int:
+    """Where the inputs that a forked child loads begin, or ``len(paths)`` when this process loads them all.
+
+    Only regular files go to a child: with stdin, a FIFO or a missing path
+    among the inputs, this process loads every one of them.  So does a run
+    whose load names are rebound, as a tracer rebinds them to record calls
+    that a child would record in its own memory.
+    """
+    threading = sys.modules.get("threading")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if not hasattr(os, "fork") or len(paths) < 2 or cpus < 2 or (threading and threading.active_count() > 1):
+        return len(paths)  # a fork copies the calling thread alone
+    if "-" in paths or not load_names_are_own():
+        return len(paths)
+    sizes = []
     for path in paths:
         try:
-            document = _load_document(path)
-        except CitemetricError as exc:
-            raise CitemetricError(f"{path}: {exc}") from exc
-        yield document
+            status = os.stat(path)
+        except (OSError, ValueError):  # ValueError: a NUL in the path
+            return len(paths)
+        if not S_ISREG(status.st_mode):
+            return len(paths)
+        sizes.append(status.st_size)
+    split = len(paths) // 2
+    return split if min(sum(sizes[:split]), sum(sizes[split:])) >= _TWO_PROCESS_BYTES else len(paths)
+
+
+def _load_profiles(paths: Sequence[str]) -> list[tuple[CitationProfile, str | None]]:
+    split = _child_half(paths)
+    if split == len(paths):
+        return [_load_profile(path) for path in paths]
+    from .loader import load_profiles  # imported only for a load in two processes
+
+    return load_profiles(paths, split, _load_profile)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -119,7 +169,7 @@ def _check_label(label: str | None, profiles: Sequence[CitationProfile] = ()) ->
 def cmd_merge(args: argparse.Namespace) -> int:
     _check_label(args.label)
     _std_buffer("stdout", "output")  # the report goes there, so a closed stdout fails before -o writes a file
-    profiles = [doc.to_profile() for doc in _load_documents(args.paths)]
+    profiles = [profile for profile, _ in _load_profiles(args.paths)]
     collective = merge_profiles(profiles, label=args.label)
     document = ProfileDocument(
         author_id=collective.merged.author_id,
@@ -133,7 +183,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    profiles = [doc.to_profile() for doc in _load_documents(args.paths)]
+    profiles = [profile for profile, _ in _load_profiles(args.paths)]
     items: list = list(profiles)
     if args.with_merged:
         _check_label(args.label, profiles)
@@ -146,22 +196,21 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_rows(documents: Sequence[ProfileDocument]) -> tuple[list[str], list[list[str]]]:
+def _compare_rows(loaded: Sequence[tuple[CitationProfile, str | None]]) -> tuple[list[str], list[list[str]]]:
     header = ["source", "r0", "r", "c_sigma", "mean_per_work", "mean_per_cited", "h", "i10"]
-    value_rows: list[list[float | None]] = []  # one per document
-    for doc in documents:
-        report = compute_report(doc.to_profile())
+    value_rows: list[list[float | None]] = []  # one per input
+    for profile, _ in loaded:
+        report = compute_report(profile)
         mean_per_work = report.c_sigma / report.r0 if report.r0 > 0 else None
         mean_per_cited = report.c_sigma / report.r if report.r > 0 else None
         value_rows.append([report.r0, report.r, report.c_sigma, mean_per_work, mean_per_cited, report.h, report.i10])
     ratio = [None if None in column or min(column) <= 0 else max(column) / min(column) for column in zip(*value_rows)]
-    labels = [*(doc.source or doc.author_id for doc in documents), "max/min"]
+    labels = [*(source or profile.author_id for profile, source in loaded), "max/min"]
     return header, [[label, *display_cells(values)] for label, values in zip(labels, [*value_rows, ratio])]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    documents = list(_load_documents(args.paths))
-    header, rows = _compare_rows(documents)
+    header, rows = _compare_rows(_load_profiles(args.paths))
     _emit_text(write_table(header, rows, args.format), args.output)
     return 0
 
@@ -219,8 +268,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CitemetricError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory"  # printed once the handler has let go of what the command held
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

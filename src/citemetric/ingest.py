@@ -12,8 +12,6 @@ columns and JSON keys are the records' own fields, in field order.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from decimal import ROUND_HALF_UP, Decimal
@@ -221,6 +219,23 @@ def parse_profile(
     raise ValidationError(f"unknown profile format: {fmt!r}")
 
 
+def _load_names() -> tuple:
+    """What loading a profile file looks up by name in this module and in ``Path``."""
+    return Path.read_text, json, parse_profile_json, parse_profile_csv, build_profile
+
+
+_OWN_LOAD_NAMES = _load_names()
+
+
+def load_names_are_own() -> bool:
+    """Whether each name a load looks up is still bound as at import, not rebound as bench/tracer.py rebinds it.
+
+    A rebound name may record each call, as the tracer's spans and counters
+    do, and a call in a forked child would record it in the child alone.
+    """
+    return all(name is own for name, own in zip(_load_names(), _OWN_LOAD_NAMES))
+
+
 _BLOCK = 1024  # counts per block of a JSON citations array; 256 to 2,048 time about the same
 
 
@@ -296,10 +311,13 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
             # the listing's file type costs no system call; stat follows a symlink, raising as open would
             if entry.is_file(follow_symlinks=False) or S_ISREG(Path(entry.path).stat().st_mode):
                 documents.append(parse_profile(entry.path, fmt))
-            else:
-                failures.append(ScanFailure(path=Path(entry.path), error="not a regular file"))
+                continue
+            error = "not a regular file"
         except (ParseError, ValidationError, OSError) as exc:
-            failures.append(ScanFailure(path=Path(entry.path), error=str(exc)))
+            error = str(exc)
+        except MemoryError:
+            error = "out of memory"  # recorded once the handler has let go of what the parse held
+        failures.append(ScanFailure(path=Path(entry.path), error=error))
     documents.sort(key=lambda doc: doc.author_id)
     return ScanResult(documents=tuple(documents), failures=tuple(failures))
 
@@ -336,14 +354,27 @@ def _md_cell(cell: str) -> str:
     return cell.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
 
+def csv_cell(cell: str) -> str:
+    """A CSV cell as Python 3.13's csv writer quotes it: in quotes, each quote doubled, if it holds , " CR or LF."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_line(row: Sequence[str]) -> str:
+    """One CSV line, as Python 3.13's csv writer writes it: a row of one empty cell is "", not a blank line."""
+    line = ",".join(row)
+    # one test of the joined line; its cells one by one only if it holds a comma, quote, CR or LF of a cell
+    if line.count(",") >= len(row) or '"' in line or "\n" in line or "\r" in line:
+        return ",".join(map(csv_cell, row))
+    return '""' if len(row) == 1 and not line else line
+
+
 def write_table(header: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
     """Render a header and rows of text cells as CSV or markdown."""
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buffer.getvalue()
+        # not the csv module: before Python 3.13 it leaves a bare CR unquoted, and a reader splits the row there
+        return "\n".join(map(_csv_line, [header, *rows])) + "\n"
     if fmt == "md":
         lines = [
             "| " + " | ".join(header) + " |",

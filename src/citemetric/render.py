@@ -290,7 +290,7 @@ def write_points_csv(spec: PlotSpec) -> str:
     rows = []
     for curve in spec.curves:
         for x, c in zip(range(1, len(curve.ordinates) + 1), curve.ordinates):
-            rows.append([curve.label, "curve", f"{x:.10g}", f"{c:.10g}"])
+            rows.append([curve.label, "curve", str(x), "%d" % c])  # every digit; an integral float ordinate as its int
     for marker in spec.markers:
         x, c = marker.point
         rows.append([spec.curves[marker.curve].label, marker.kind, f"{x:.10g}", f"{c:.10g}"])

@@ -341,6 +341,27 @@ def test_plot_points_csv(tmp_path, capsys):
     assert "a,kh1,1.3,5.2" in out
 
 
+def test_plot_points_csv_writes_curve_counts_whole(tmp_path, capsys):
+    # an 11-digit count keeps every digit in its curve row; marker rows keep ten significant digits
+    b = _write_json(tmp_path / "b.json", "b", [12345678901, 98765, 3])
+    assert main(["plot", b, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "label,kind,r,c\n"
+        "b,curve,1,12345678901\nb,curve,2,98765\nb,curve,3,3\nb,curve,4,0\n"
+        "b,h,3,3\nb,kh1,1.5,6172888834\nb,kh2,1.999999,111111.5551\nb,kh3,1.99999,222221.999\n"
+    )
+
+
+def test_table_quotes_an_id_of_a_bare_cr(tmp_path, capsysbinary):
+    # csv before Python 3.13 leaves the cell unquoted, so a CSV reader splits the row at the CR
+    (tmp_path / "cr.json").write_text('{"author_id": "\\r", "citations": []}', encoding="utf-8")
+    assert main(["table", str(tmp_path)]) == 0
+    assert capsysbinary.readouterr().out == (
+        b"no,r0,r,c_sigma,c10,c_max,c_s,h,g,m,i10,kh1,kh2,kh3\n"
+        b'"\r",0,0,0,0,0,0.0,0,0,-,0,0.0,0.0,0.0\n'
+    )
+
+
 def test_plot_is_deterministic(tmp_path):
     a = _write_json(tmp_path / "a.json", "a", [8, 3, 2])
     first, second = tmp_path / "one.svg", tmp_path / "two.svg"

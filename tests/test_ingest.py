@@ -1,6 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citemetric import (
     ParseError,
@@ -245,3 +249,15 @@ def test_report_table_is_deterministic():
     reports = [compute_report(build_profile(name, [9, 2, 1])) for name in ("x", "y")]
     assert write_report_table(reports, "csv") == write_report_table(reports, "csv")
     assert write_report_table(reports, "md") == write_report_table(reports, "md")
+
+
+def test_csv_cells_are_quoted_as_python_3_13_quotes_them():
+    rows = [["a\rb"], ["x,y", 'q"'], [""], ["", ""], ["\r\n"]]
+    assert write_table(["id"], rows, "csv") == 'id\n"a\rb"\n"x,y","q"""\n""\n,\n"\r\n"\n'
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text(st.sampled_from(',"\r\n a\udcff'), max_size=4), min_size=1, max_size=3), max_size=4))
+def test_csv_tables_read_back_as_written(rows):
+    text = write_table(["id", "source"], rows, "csv")
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [["id", "source"], *rows]

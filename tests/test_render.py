@@ -235,13 +235,13 @@ def _pareto_pair_spec(log_y=False):
         pytest.param(
             lambda: build_plot_spec([build_profile("a", [2**53, 2**53 - 1, 3, 0])]),
             "605a4cb1a2c84e0cf79e8bcc7f0c3f51e0201edec7263238a5c7cabc9e32cb9e",
-            "39689483a8a1ea77d70f86968d0c0893797e417b2dcffadd2d6a88ff0f14a6f9",
+            "1321b7bccdcd8db57be11c0de7c2897a22fc4d0ca1d9f707f0c7d1f5a09fc711",
             id="largest-counts-linear",
         ),
         pytest.param(
             lambda: build_plot_spec([build_profile("a", [2**53, 2**53 - 1, 3, 0])], log_y=True),
             "cc3cff75665f04d8d5ffa6e7d6d87275c9c56f728b903796904d3d97e6e6bace",
-            "39689483a8a1ea77d70f86968d0c0893797e417b2dcffadd2d6a88ff0f14a6f9",
+            "1321b7bccdcd8db57be11c0de7c2897a22fc4d0ca1d9f707f0c7d1f5a09fc711",
             id="largest-counts-log-y",
         ),
     ],
