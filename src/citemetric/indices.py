@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import MissingFieldError
-from .profile import CitationProfile, CrossingPoint, check_cited, check_domain, first_vertex
+from .profile import CitationProfile, CrossingPoint, check_cited, exact_ratio, first_vertex
 
 
 class IndexReport(NamedTuple):
@@ -45,20 +44,10 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     C(x) - slope * x is strictly decreasing on (0, r + 1], positive near
     zero (the constant extension holds C at c_max there) and negative at
     r + 1, so exactly one crossing exists.  A ray at least as steep as
-    c_max meets the curve inside the constant extension, which caps the
-    crossing ordinate at c_max.  The crossing is found at the slope's exact
-    value and rounded once.  That value is ``int(slope)`` for an integer of
-    any type (NumPy's have no ``as_integer_ratio()``), and
-    ``as_integer_ratio()`` for any other real.
+    c_max, inf included, meets the curve inside the constant extension,
+    which caps the crossing ordinate at c_max.
     """
-    check_domain(lambda: slope > 0, "slope must be positive, got {!r}", slope)
-    if slope == math.inf:
-        ratio = (1, 0)  # the clamp takes it as any steep ray
-    elif isinstance(slope, numbers.Integral):
-        ratio = (int(slope), 1)
-    else:
-        ratio = slope.as_integer_ratio()
-    return _rational_ray_crossing(profile, *ratio)
+    return _rational_ray_crossing(profile, *exact_ratio(slope, lambda p, q: p > 0, "slope must be positive, got {!r}"))
 
 
 def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> CrossingPoint:
@@ -99,15 +88,15 @@ def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
     The profile needs cited works.  A level at or above c_max is met at
     the top work, (1, c_max), as ``line_crossing`` clamps a steep ray.
     """
-    check_domain(lambda: value > 0, "level must be positive, got {!r}", value)
+    p, q = exact_ratio(value, lambda p, q: p > 0, "level must be positive, got {!r}")
     check_cited(profile)
-    if value >= profile.c_max:
+    if p >= profile.c_max * q:
         return CrossingPoint(r_star=1.0, c_star=float(profile.c_max))
-    # C(k) > value >= C(k + 1), so the segment is never flat
-    k = first_vertex(profile, lambda j, c: c <= value) - 1
+    # C(k) > p / q >= C(k + 1), so the segment is never flat
+    k = first_vertex(profile, lambda j, c: c * q <= p) - 1
     here = profile.vertex(k)
-    nxt = profile.vertex(k + 1)
-    return CrossingPoint(r_star=k + (value - here) / (nxt - here), c_star=value)
+    seg = profile.vertex(k + 1) - here
+    return CrossingPoint(r_star=(k * q * seg + p - here * q) / (q * seg), c_star=p / q)
 
 
 def h_index(profile: CitationProfile) -> int:
@@ -147,14 +136,14 @@ def m_index(profile: CitationProfile) -> float:
 
 def i_k(profile: CitationProfile, k: int) -> int:
     """Number of works with at least k citations."""
-    check_domain(lambda: k >= 1, "threshold must be at least 1, got {!r}", k)
-    return first_vertex(profile, lambda rank, c: c < k) - 1
+    p, q = exact_ratio(k, lambda p, q: p >= q, "threshold must be at least 1, got {!r}")
+    return first_vertex(profile, lambda rank, c: c * q < p) - 1
 
 
 def c_k(profile: CitationProfile, k: int) -> int:
     """Citations collected by the k most-cited works, for a whole number k >= 1 of any numeric type."""
-    check_domain(lambda: k >= 1 and k == int(k), "rank cutoff must be a whole number of at least 1, got {!r}", k)
-    return sum(profile.counts[: int(k)])  # the counts past r are zeros
+    cutoff, _ = exact_ratio(k, lambda p, q: q == 1 and p >= 1, "rank cutoff must be a whole number >= 1, got {!r}")
+    return sum(profile.counts[:cutoff])  # the counts past r are zeros
 
 
 def kh1(profile: CitationProfile) -> float:

@@ -11,7 +11,7 @@ that arbitrarily steep rays from the origin still cross it.
 from __future__ import annotations
 
 import bisect
-import math
+import numbers
 import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -36,16 +36,16 @@ class CitationProfile(NamedTuple):
         """Evaluate the citation curve at rank ``x``.
 
         Defined on [0, r + 1]: constant c_max on [0, 1), linear between
-        integer ranks afterwards, 0 at r + 1.
+        integer ranks afterwards, 0 at r + 1; read at x's exact value, rounded once.
         """
         check_cited(self)
-        check_domain(lambda: 0 <= x <= self.r + 1, "rank {!r} outside the curve domain [0, {}]", x, self.r + 1)
-        if x < 1:
+        top = self.r + 1
+        p, q = exact_ratio(x, lambda p, q: 0 <= p <= top * q, "rank {!r} outside the curve domain [0, {}]", top)
+        if p < q:
             return float(self.c_max)
-        k = math.floor(x)
+        k = p // q
         here = self.vertex(k)
-        nxt = self.vertex(k + 1)
-        return here + (nxt - here) * (x - k)
+        return (here * q + (self.vertex(k + 1) - here) * (p - k * q)) / q
 
     def vertex(self, j: int) -> int:
         """C(j) at an integer rank j >= 1: the j-th count, and 0 from r + 1 on (first_vertex inlines this rule)."""
@@ -58,21 +58,31 @@ def check_cited(profile: CitationProfile) -> None:
         raise EmptyProfileError(f"profile {profile.author_id!r} has no cited works; the curve is undefined")
 
 
-def check_domain(inside: Callable[[], object], message: str, *args: object) -> None:
-    """Raise DomainError, with ``message.format(*args)``, unless ``inside()`` holds.
+def exact_ratio(value: float, inside: Callable[[int, int], bool], message: str, *args: object) -> tuple[int, int]:
+    """The exact value of a real number as integers (p, q), q >= 0, that pass ``inside(p, q)``.
 
-    A test that raises ArithmeticError fails: a Decimal NaN signals rather than compare, and ``int(inf)`` overflows.
+    An integer of any type, NumPy's included, is int(value) / 1, any other real its
+    ``as_integer_ratio()``, and +-inf is +-1 / 0.  A value outside the domain, as a NaN
+    always is, raises DomainError with ``message.format(value, *args)``.
     """
-    try:
-        if inside():
-            return
-    except ArithmeticError:
-        pass
-    raise DomainError(message.format(*args))
+    if type(value) is int or isinstance(value, numbers.Integral):
+        ratio: tuple[int, int] | None = (int(value), 1)  # NumPy's integers have no as_integer_ratio()
+    else:
+        try:
+            ratio = value.as_integer_ratio()
+        except AttributeError:
+            raise TypeError(f"expected a real number, got {value!r}") from None
+        except OverflowError:  # an infinity
+            ratio = (1 if value > 0 else -1, 0)
+        except ValueError:  # a NaN
+            ratio = None
+    if ratio is None or not inside(*ratio):
+        raise DomainError(message.format(value, *args))
+    return ratio
 
 
 class CrossingPoint(NamedTuple):
-    """Intersection of a ray from the origin with a citation curve."""
+    """Where a ray from the origin, or a level, meets a citation curve: exact, then rounded once."""
 
     r_star: float
     c_star: float

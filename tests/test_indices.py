@@ -27,7 +27,7 @@ from citemetric import (
     synthesize_counts,
 )
 from citemetric.indices import level_crossing
-from citemetric.profile import first_vertex
+from citemetric.profile import CitationProfile, first_vertex
 from oracles import brute_g_parabola, brute_h, brute_i_k, check_crossing_against_grid
 
 
@@ -232,6 +232,26 @@ def test_a_number_of_any_type_returns_or_raises_the_domain_or_empty_rule(call, c
     result = _outcome(call, p, value)  # any other exception fails the test
     if call in (i_k, c_k) and _whole(value):
         assert result == _outcome(call, p, int(value))
+
+
+@pytest.mark.parametrize(
+    "call", [i_k, c_k, line_crossing, level_crossing, CitationProfile.citation_at], ids=lambda call: call.__name__
+)
+@pytest.mark.parametrize("value", ["2", None, 1j], ids=repr)
+def test_a_value_that_is_not_a_real_number_raises_type_error(call, value):
+    with pytest.raises(TypeError):
+        call(build_profile("a", [9, 5, 3, 1, 0]), value)
+
+
+@pytest.mark.parametrize("rank", [Decimal("2.5"), Fraction(5, 2)], ids=repr)
+def test_a_rank_of_any_type_reads_the_curve_as_a_float(rank):
+    value = build_profile("a", [9, 5, 3, 1, 0]).citation_at(rank)
+    assert type(value) is float and value == 4.0
+
+
+def test_a_decimal_level_crosses_the_curve_at_floats():
+    crossing = level_crossing(build_profile("a", [9, 5, 3, 1, 0]), Decimal("2.5"))
+    assert list(map(type, crossing)) == [float, float] and crossing == (3.25, 2.5)
 
 
 def test_kh_values_for_two_work_profile():

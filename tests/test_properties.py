@@ -8,6 +8,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,7 @@ from citemetric import (
 )
 from citemetric.errors import DomainError, ParseError, ValidationError
 from citemetric.ingest import _BLOCK, parse_profile_csv, parse_profile_json
-from citemetric.indices import compute_report, kh1_crossing, kh3_crossing
+from citemetric.indices import compute_report, kh1_crossing, kh3_crossing, level_crossing
 from citemetric.profile import MAX_COUNT, check_career_years, check_counts, first_vertex, from_sorted
 from oracles import (
     brute_c_k,
@@ -252,6 +253,69 @@ def test_line_crossing_is_the_exact_crossing_rounded_once(counts, slope):
     p = build_profile("a", counts)
     x, c = _exact_ray_crossing(counts, Fraction(slope))
     assert line_crossing(p, slope) == (float(x), float(c))
+
+
+def _reals_between(lo: int, hi: int):
+    """Numbers in [lo, hi] as ints, floats, Fractions, Decimals and NumPy scalars."""
+    floats = st.floats(min_value=lo, max_value=hi)
+    return st.one_of(
+        st.integers(min_value=lo, max_value=hi),
+        st.integers(min_value=lo, max_value=hi).map(np.int64),
+        floats,
+        floats.map(np.float64),
+        floats.map(np.float32).filter(lambda x: lo <= x <= hi),
+        st.fractions(min_value=lo, max_value=hi),
+        st.decimals(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False),
+    )
+
+
+def _exact(value) -> Fraction:
+    """The number a value stands for, NumPy's scalars through the builtin type that holds them exactly."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return Fraction(value)
+
+
+def _exact_curve(counts) -> list[tuple[int, int]]:
+    """The vertices (j, C(j)) of the curve from rank 1 to its close at (r + 1, 0)."""
+    cited = sorted((c for c in counts if c > 0), reverse=True)
+    return [*enumerate(cited, start=1), (len(cited) + 1, 0)]
+
+
+def _exact_curve_at(counts, x: Fraction) -> Fraction:
+    points = _exact_curve(counts)
+    if x < 1:
+        return Fraction(points[0][1])  # the constant extension on [0, 1)
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0)
+    raise AssertionError("a rank in [1, r + 1] must lie on a segment")
+
+
+def _exact_level_crossing(counts, level: Fraction) -> tuple[Fraction, Fraction]:
+    points = _exact_curve(counts)
+    if level >= points[0][1]:
+        return Fraction(1), Fraction(points[0][1])  # pinned at the top work
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if y1 <= level:
+            return x0 + (level - y0) / (y1 - y0), level
+    raise AssertionError("a positive level below c_max must meet the curve")
+
+
+exact_counts = st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=30).filter(any)
+
+
+@settings(max_examples=300)
+@given(exact_counts, st.data())
+def test_curve_values_and_level_crossings_are_floats_exact_then_rounded_once(counts, data):
+    p = build_profile("a", counts)
+    x = data.draw(_reals_between(0, p.r + 1), label="rank")
+    value = p.citation_at(x)
+    assert type(value) is float and value == float(_exact_curve_at(counts, _exact(x)))
+    level = data.draw(_reals_between(0, 2 * p.c_max).filter(lambda v: v > 0), label="level")
+    crossing = level_crossing(p, level)
+    assert list(map(type, crossing)) == [float, float]
+    assert crossing == tuple(map(float, _exact_level_crossing(counts, _exact(level))))
 
 
 @given(big_counts)
