@@ -23,9 +23,12 @@ from .errors import CitemetricError, ValidationError
 from .indices import IndexReport, compute_report
 from .ingest import (
     ProfileDocument,
+    ScanFailure,
     display_cells,
+    list_profiles,
     load_names_are_own,
     parse_profile,
+    read_profiles,
     scan_directory,
     write_profile,
     write_report_table,
@@ -61,6 +64,21 @@ def _load_profile(path: str) -> tuple[CitationProfile, str | None]:
     raise CitemetricError(f"{path}: out of memory")
 
 
+def _may_fork() -> bool:
+    """Whether a forked child may take half of a command's inputs.
+
+    That needs ``os.fork``, at least two usable CPUs and no other live thread,
+    as a fork copies the calling thread alone.  A run whose load names are
+    rebound, as a tracer rebinds them to record calls that a child would
+    record in its own memory, stays in one process.
+    """
+    threading = sys.modules.get("threading")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if not hasattr(os, "fork") or cpus < 2 or (threading and threading.active_count() > 1):
+        return False
+    return load_names_are_own()
+
+
 # Each half of the inputs needs this many bytes of regular files before a forked
 # child loads the second one.  The fork costs both processes a copy-on-write fault
 # on each page they write afterwards, and the child's profiles a marshal round trip.
@@ -75,15 +93,9 @@ def _child_half(paths: Sequence[str]) -> int:
     """Where the inputs that a forked child loads begin, or ``len(paths)`` when this process loads them all.
 
     Only regular files go to a child: with stdin, a FIFO or a missing path
-    among the inputs, this process loads every one of them.  So does a run
-    whose load names are rebound, as a tracer rebinds them to record calls
-    that a child would record in its own memory.
+    among the inputs, this process loads every one of them.
     """
-    threading = sys.modules.get("threading")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if not hasattr(os, "fork") or len(paths) < 2 or cpus < 2 or (threading and threading.active_count() > 1):
-        return len(paths)  # a fork copies the calling thread alone
-    if "-" in paths or not load_names_are_own():
+    if len(paths) < 2 or "-" in paths or not _may_fork():
         return len(paths)
     sizes = []
     for path in paths:
@@ -139,23 +151,59 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each half of a table's listing needs this many entries before a forked child
+# reads, builds and reports the second one.  The count comes from the listing
+# alone: a stat per entry costs 4 µs, 8 ms over 2,000 entries.  Measured as
+# `table --with-total --include-kh` inside the process, one process against two
+# (2 cores, Python 3.11, medians of 20 to 40 alternating runs, the benchmark's
+# corpus of 1 to 300 works a file): 120 files +2.6%, 240 files -3.9%, 480 files
+# -8.1%, 2,000 files -19%.
+_TWO_PROCESS_FILES = 120
+
+
+def _build_and_report(documents: Sequence[ProfileDocument]) -> list[tuple[CitationProfile, IndexReport]]:
+    """Each document's profile and report; every profile is built before the first is reported."""
+    profiles = [document.to_profile() for document in documents]
+    return list(zip(profiles, map(compute_report, profiles)))
+
+
+def _tabulate(
+    entries: Sequence[tuple[str, os.DirEntry]],
+) -> tuple[list[ScanFailure], list[tuple[CitationProfile, IndexReport]]]:
+    """Failures and rows of listed entries, phase by phase: all parsed, then all built, then all reported."""
+    documents, failures = read_profiles(entries)
+    return failures, _build_and_report(documents)
+
+
+def _table_rows(args: argparse.Namespace) -> tuple[list[ScanFailure], list[tuple[CitationProfile, IndexReport]]]:
+    """The failures and rows of the table's directory, with the second half of a long listing in a forked child."""
+    entries = list_profiles(args.directory, skip=args.output) if _may_fork() else []
+    split = len(entries) // 2
+    if split < max(_TWO_PROCESS_FILES, 1):
+        result = scan_directory(args.directory, skip=args.output)  # the one call bench/tracer.py times as ingest.scan
+        return list(result.failures), _build_and_report(result.documents)
+    from .loader import tabulate  # imported only for a table in two processes
+
+    return tabulate(entries, split, _tabulate)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
-    result = scan_directory(args.directory, skip=args.output)
-    for failure in result.failures:
+    failures, rows = _table_rows(args)
+    for failure in failures:
         print(f"error: {failure.path}: {failure.error}", file=sys.stderr)
-    if not result.documents:
+    if not rows:
         raise CitemetricError(f"no readable profiles in {args.directory}")
-    profiles = [doc.to_profile() for doc in result.documents]
-    profiles.sort(key=lambda p: (-p.c_max, p.author_id))
-    reports = [compute_report(profile) for profile in profiles]
+    # Stable, so rows of one author id and c_max keep the listing's order, as they do
+    # after scan_directory's sort by author id: the two paths order rows alike.
+    rows.sort(key=lambda row: (-row[0].c_max, row[0].author_id))
     total = None
     if args.with_total:
-        total = collective_report(merge_profiles(profiles, label="total"))
+        total = collective_report(merge_profiles([profile for profile, _ in rows], label="total"))
     _emit_text(
-        write_report_table(reports, args.format, include_kh=args.include_kh, total=total),
+        write_report_table([report for _, report in rows], args.format, include_kh=args.include_kh, total=total),
         args.output,
     )
-    return 1 if result.failures else 0
+    return 1 if failures else 0
 
 
 def _check_label(label: str | None, profiles: Sequence[CitationProfile] = ()) -> None:

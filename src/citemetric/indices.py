@@ -47,7 +47,7 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     c_max, inf included, meets the curve inside the constant extension,
     which caps the crossing ordinate at c_max.
     """
-    return _rational_ray_crossing(profile, *exact_ratio(slope, lambda p, q: p > 0, "slope must be positive, got {!r}"))
+    return _rational_ray_crossing(profile, *exact_ratio(slope, lambda p, q: p > 0, "slope must be positive, got {}"))
 
 
 def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> CrossingPoint:
@@ -88,7 +88,7 @@ def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
     The profile needs cited works.  A level at or above c_max is met at
     the top work, (1, c_max), as ``line_crossing`` clamps a steep ray.
     """
-    p, q = exact_ratio(value, lambda p, q: p > 0, "level must be positive, got {!r}")
+    p, q = exact_ratio(value, lambda p, q: p > 0, "level must be positive, got {}")
     check_cited(profile)
     if p >= profile.c_max * q:
         return CrossingPoint(r_star=1.0, c_star=float(profile.c_max))
@@ -136,13 +136,13 @@ def m_index(profile: CitationProfile) -> float:
 
 def i_k(profile: CitationProfile, k: int) -> int:
     """Number of works with at least k citations."""
-    p, q = exact_ratio(k, lambda p, q: p >= q, "threshold must be at least 1, got {!r}")
+    p, q = exact_ratio(k, lambda p, q: p >= q, "threshold must be at least 1, got {}")
     return first_vertex(profile, lambda rank, c: c * q < p) - 1
 
 
 def c_k(profile: CitationProfile, k: int) -> int:
     """Citations collected by the k most-cited works, for a whole number k >= 1 of any numeric type."""
-    cutoff, _ = exact_ratio(k, lambda p, q: q == 1 and p >= 1, "rank cutoff must be a whole number >= 1, got {!r}")
+    cutoff, _ = exact_ratio(k, lambda p, q: q == 1 and p >= 1, "rank cutoff must be a whole number >= 1, got {}")
     return sum(profile.counts[:cutoff])  # the counts past r are zeros
 
 

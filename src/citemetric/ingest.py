@@ -283,13 +283,12 @@ def write_profile(document: ProfileDocument, fmt: str = "json") -> str:
     raise ValidationError(f"unknown profile format: {fmt!r}")
 
 
-def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanResult:
-    """Parse every *.json and *.csv profile in a directory, in any letter case.
+def list_profiles(path: str | Path, *, skip: str | Path | None = None) -> list[tuple[str, os.DirEntry]]:
+    """The *.json and *.csv entries of a directory, in any letter case, each with its format.
 
-    Files that fail to read or parse, and entries that are not regular files,
-    which are never opened, are collected as failures instead of aborting the
-    batch.  Documents come back sorted by author id.  ``skip`` is a path left
-    out, such as the table written from the scan, which would be read back.
+    The *.json entries come first, then the *.csv ones, each by name.  ``skip``
+    is a path left out, such as the table written from the scan, which would be
+    read back.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -303,7 +302,15 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
             for entry in listing
             if (fmt := profile_format(entry.name)) in ("json", "csv") and entry.name != skip_name
         ]
-    entries.sort(key=lambda item: (item[0] == "csv", item[1].name))  # *.json, then *.csv
+    entries.sort(key=lambda item: (item[0] == "csv", item[1].name))
+    return entries
+
+
+def read_profiles(entries: Iterable[tuple[str, os.DirEntry]]) -> tuple[list[ProfileDocument], list[ScanFailure]]:
+    """Parse each listed entry, in order: its document, or its failure to read or parse.
+
+    An entry that is not a regular file is never opened.
+    """
     documents: list[ProfileDocument] = []
     failures: list[ScanFailure] = []
     for fmt, entry in entries:
@@ -318,6 +325,18 @@ def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanR
         except MemoryError:
             error = "out of memory"  # recorded once the handler has let go of what the parse held
         failures.append(ScanFailure(path=Path(entry.path), error=error))
+    return documents, failures
+
+
+def scan_directory(path: str | Path, *, skip: str | Path | None = None) -> ScanResult:
+    """Parse every *.json and *.csv profile in a directory, in any letter case.
+
+    Files that fail to read or parse, and entries that are not regular files,
+    which are never opened, are collected as failures instead of aborting the
+    batch.  Documents come back sorted by author id.  ``skip`` is a path left
+    out, such as the table written from the scan, which would be read back.
+    """
+    documents, failures = read_profiles(list_profiles(path, skip=skip))
     documents.sort(key=lambda doc: doc.author_id)
     return ScanResult(documents=tuple(documents), failures=tuple(failures))
 

@@ -40,7 +40,7 @@ class CitationProfile(NamedTuple):
         """
         check_cited(self)
         top = self.r + 1
-        p, q = exact_ratio(x, lambda p, q: 0 <= p <= top * q, "rank {!r} outside the curve domain [0, {}]", top)
+        p, q = exact_ratio(x, lambda p, q: 0 <= p <= top * q, "rank {} outside the curve domain [0, {}]", top)
         if p < q:
             return float(self.c_max)
         k = p // q
@@ -63,7 +63,7 @@ def exact_ratio(value: float, inside: Callable[[int, int], bool], message: str, 
 
     An integer of any type, NumPy's included, is int(value) / 1, any other real its
     ``as_integer_ratio()``, and +-inf is +-1 / 0.  A value outside the domain, as a NaN
-    always is, raises DomainError with ``message.format(value, *args)``.
+    always is, raises DomainError with ``message.format(_shown(value), *args)``.
     """
     if type(value) is int or isinstance(value, numbers.Integral):
         ratio: tuple[int, int] | None = (int(value), 1)  # NumPy's integers have no as_integer_ratio()
@@ -77,8 +77,25 @@ def exact_ratio(value: float, inside: Callable[[int, int], bool], message: str, 
         except ValueError:  # a NaN
             ratio = None
     if ratio is None or not inside(*ratio):
-        raise DomainError(message.format(value, *args))
+        raise DomainError(message.format(_shown(value), *args))
     return ratio
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or where that passes the interpreter's limit on integer digits, a short stand-in.
+
+    An integer shows as its sign and digit count.
+    """
+    try:
+        return repr(value)
+    except ValueError:  # str() of an int of more than 4,300 digits raises
+        if not isinstance(value, numbers.Integral):
+            return f"a {type(value).__name__} too long to print"
+        n = abs(int(value))
+        digits = (n.bit_length() - 1) * 30102999 // 10**8 + 1  # 2**(bits - 1) <= n, and 0.30102999 < log10(2)
+        while n >= 10**digits:
+            digits += 1
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits:,} digits"
 
 
 class CrossingPoint(NamedTuple):

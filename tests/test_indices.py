@@ -141,6 +141,27 @@ def test_numbers_outside_the_domain_raise_the_domain_rule_nan_included(call, err
         call(build_profile("a", [9, 5, 3, 1, 0]))
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [(-(10**5000), "a negative integer of 5,001 digits"), (Fraction(-(10**5000), 3), "a Fraction too long to print")],
+    ids=["int", "Fraction"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [line_crossing, level_crossing, i_k, c_k, CitationProfile.citation_at],
+    ids=["line_crossing", "level_crossing", "i_k", "c_k", "citation_at"],
+)
+def test_a_number_too_long_to_print_is_named_without_its_digits(call, value, shown):
+    # repr() of an int of more than 4,300 digits raises ValueError
+    with pytest.raises(DomainError, match=shown):
+        call(build_profile("a", [9, 5, 3, 1, 0]), value)
+
+
+def test_a_rank_too_long_to_print_past_the_curve_is_named_by_its_digit_count():
+    with pytest.raises(DomainError, match=r"^rank an integer of 5,001 digits outside the curve domain \[0, 5\]$"):
+        build_profile("a", [9, 5, 3, 1, 0]).citation_at(10**5000)
+
+
 def test_h_index_examples():
     assert h_index(build_profile("a", [7, 1])) == 1
     assert h_index(build_profile("a", [10, 5, 2])) == 2

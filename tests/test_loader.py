@@ -1,10 +1,11 @@
-"""The named inputs of merge, plot and compare load in two processes, with the bytes of one.
+"""The named inputs of merge, plot and compare, and the files of table, load in two processes, with the bytes of one.
 
-Each case runs the CLI with the two-process threshold at 0, so that any two
-regular files load in two processes, and with no threshold, so that one
-process loads every input, and checks that both runs write the same bytes,
-the same error lines and the same exit code.  After each case no child of
-this process is left, running or unreaped.
+Each case runs the CLI with the two-process thresholds at 0, so that any two
+regular files load in two processes, and any table of two entries is read,
+built and reported in two, and with no threshold, so that one process does
+it all, and checks that both runs write the same bytes, the same error lines
+and the same exit code.  After each case no child of this process is left,
+running or unreaped.
 """
 
 import importlib
@@ -62,6 +63,7 @@ def _inputs(directory):
 def _run(monkeypatch, capsysbinary, limit, args, out):
     """Exit code, stdout, stderr and the -o file's bytes of one in-process run."""
     monkeypatch.setattr(cli, "_TWO_PROCESS_BYTES", limit)
+    monkeypatch.setattr(cli, "_TWO_PROCESS_FILES", limit)
     stdin = io.TextIOWrapper(io.BytesIO(b'{"author_id": "s", "citations": [5, 5]}'), encoding="utf-8")
     monkeypatch.setattr("sys.stdin", stdin)
     code = main([*args, "-o", str(out)])
@@ -229,3 +231,190 @@ def test_a_load_in_one_process_leaves_the_loader_unimported(tmp_path):
         timeout=60,
     )
     assert (child.returncode, child.stderr) == (0, "")
+
+
+def _table_corpus(directory):
+    """Seven profiles, two of them author "a"'s: a.json in the first half of the listing, a.csv in the second."""
+    directory.mkdir()
+    _inputs(directory)
+    _write_json(directory / "d.json", "d", [30, 1], career_years=2)  # ties c.json on c_max
+    (directory / "a.csv").write_text("citations\n9\n0\n", encoding="utf-8")  # ties a.json on c_max and id
+    (directory / "e.csv").write_text("citations\n", encoding="utf-8")  # no works
+    (directory / "f.csv").write_text("\ufeffcitations\r\n5\r\n5\r\n", encoding="utf-8")
+    (directory / "notes.txt").write_text("not a profile", encoding="utf-8")
+
+
+@pytest.mark.parametrize("out", ["out", "corpus/table.csv"], ids=["outside", "inside"])
+@pytest.mark.parametrize(
+    "extra", [(), ("--with-total", "--include-kh"), ("--format", "md"), ("--format", "md", "--with-total")]
+)
+def test_a_table_in_two_processes_writes_the_bytes_of_one(tmp_path, monkeypatch, capsysbinary, forks, extra, out):
+    _table_corpus(tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for limit in (0, NO_LIMIT):
+        if out.startswith("corpus/"):  # a table from an earlier run, which the scan leaves out
+            (tmp_path / out).write_text("no,r0\nstale,1\n", encoding="utf-8")
+        runs[limit] = _run(monkeypatch, capsysbinary, limit, ("table", "corpus", *extra), tmp_path / out)
+        assert len(forks) == (1 if limit == 0 else 0)
+        forks.clear()
+    assert runs[0] == runs[NO_LIMIT]
+    code, stdout, stderr, table = runs[0]
+    assert (code, stdout, stderr) == (0, b"", b"")
+    if "md" not in extra:  # by c_max, then id; a.json's row before a.csv's, as listed
+        rows = [line.split(",")[:2] for line in table.decode("utf-8").splitlines()[1:8]]
+        assert rows == [["c", "4"], ["d", "2"], ["b", "4"], ["a", "5"], ["a", "2"], ["f", "2"], ["e", "0"]]
+
+
+def _bad_entry(directory, kind, name):
+    path = directory / name
+    if kind == "not-utf8":
+        path.write_bytes(b"citations\n3\n\xff\n")
+    elif kind == "bad-line":
+        path.write_text(_BAD_CSV, encoding="utf-8")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "dangling":
+        path.symlink_to(directory / "missing.json")
+    else:
+        os.mkfifo(path)  # opening it would wait for a writer
+
+
+# Counts its forks, and fails if a child is left unreaped; its stdout holds the fork count alone.
+_TABLE_IN_A_CHILD = """if True:
+    import os, sys
+    from citemetric import cli
+    cli._TWO_PROCESS_FILES = int(sys.argv[1])
+    fork, forks = os.fork, []
+    os.fork = lambda: forks.append(fork()) or forks[-1]
+    code = cli.main(sys.argv[2:])
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print(len(forks))
+        sys.exit(code)
+    sys.exit("a child was left")
+"""
+
+
+def _table_in_a_child(directory, limit):
+    """Exit code, forks, stderr and the -o file's bytes of ``table`` run in a child process.
+
+    In a child process, so that a table that opens a FIFO fails the test instead of hanging it.
+    """
+    out = directory.parent / "table.csv"
+    child = subprocess.run(
+        [sys.executable, "-c", _TABLE_IN_A_CHILD, str(limit), "table", directory.name, "--with-total", "-o", out.name],
+        cwd=directory.parent,
+        env=_child_env(),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    data = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return child.returncode, child.stdout, child.stderr, data
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+@pytest.mark.parametrize(
+    "kind, ext",
+    [("not-utf8", "csv"), ("bad-line", "csv"), ("directory", "json"), ("dangling", "json"), ("fifo", "csv")],
+    ids=["not-utf8", "bad-line", "directory", "dangling", "fifo"],
+)
+def test_a_failing_entry_in_either_half_of_a_table_gives_the_one_process_error(tmp_path, kind, ext, half):
+    # eight good files, 1 JSON and 7 CSV or 7 JSON and 1 CSV, so that the bad entry
+    # is listed first or last and falls in the half this process or the child reads
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    json_files = 1 if half == "first" else 7
+    for i in range(8):
+        if i < json_files:
+            _write_json(directory / f"m{i}.json", f"m{i}", [i + 3, 1])
+        else:
+            (directory / f"m{i}.csv").write_text(f"citations\n{i + 3}\n1\n", encoding="utf-8")
+    name = f"{'a' if half == 'first' else 'z'}_bad.{ext}"
+    _bad_entry(directory, kind, name)
+    listed = [entry.name for _, entry in cli.list_profiles(directory)]
+    assert (listed.index(name) < len(listed) // 2) == (half == "first")
+    two, one = (_table_in_a_child(directory, limit) for limit in (0, NO_LIMIT))
+    assert (two[1], one[1]) == ("1\n", "0\n")
+    assert (two[0], two[2:]) == (one[0], one[2:])
+    code, _, stderr, table = two
+    assert code == 1 and stderr.startswith(f"error: {Path('corpus', name)}: ") and stderr.count("\n") == 1
+    assert table.decode("utf-8").count("\n") == 10  # header, eight rows and the total
+
+
+def test_a_table_of_failing_entries_alone_fails_in_either_half(tmp_path):
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    for kind, name in [("directory", "d.json"), ("dangling", "s.json"), ("not-utf8", "u.csv"), ("fifo", "x.csv")]:
+        _bad_entry(directory, kind, name)
+    two, one = (_table_in_a_child(directory, limit) for limit in (0, NO_LIMIT))
+    assert (two[1], one[1]) == ("1\n", "0\n")
+    assert (two[0], two[2:]) == (one[0], one[2:])
+    code, _, stderr, table = two
+    assert (code, table) == (1, None)
+    assert [line.split(": ")[1] for line in stderr.splitlines()] == [
+        str(Path("corpus", name)) for name in ("d.json", "s.json", "u.csv", "x.csv")
+    ] + ["no readable profiles in corpus"]
+
+
+@pytest.mark.parametrize("end", ["killed", "cut-short"])
+def test_a_table_child_that_ends_without_its_whole_payload_is_recovered(
+    tmp_path, monkeypatch, capsysbinary, forks, end
+):
+    _table_corpus(tmp_path / "corpus")
+    (tmp_path / "corpus" / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")  # in the child's half
+    monkeypatch.chdir(tmp_path)
+    parent = os.getpid()
+    if end == "killed":
+        read = cli.read_profiles
+
+        def read_or_die(entries):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read(entries)
+
+        monkeypatch.setattr(cli, "read_profiles", read_or_die)
+    else:
+
+        class CutShort:
+            loads = staticmethod(marshal.loads)
+
+            @staticmethod
+            def dumps(value):
+                return marshal.dumps(value)[:-1]
+
+        monkeypatch.setattr(loader, "marshal", CutShort)
+    args = ("table", "corpus", "--with-total", "--include-kh")
+    recovered = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
+    assert len(forks) == 1
+    assert recovered == _run(monkeypatch, capsysbinary, NO_LIMIT, args, tmp_path / "out")
+    assert recovered[:3] == (1, b"", f"error: {Path('corpus', 'bad.csv')}: line 3: not an integer: 'x'\n".encode())
+
+
+def test_a_table_below_the_threshold_leaves_the_loader_unimported(tmp_path):
+    _table_corpus(tmp_path / "corpus")  # seven entries, below the threshold
+    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", run, "table", "corpus", "--with-total", "-o", "out.csv"],
+        cwd=tmp_path,
+        env=_child_env(),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+
+
+def test_a_traced_table_reads_every_file_in_its_own_process(tmp_path, monkeypatch, forks):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    _table_corpus(tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_TWO_PROCESS_FILES", 0)
+    trace, code, out, err = tracer.traced_command(("table", "corpus", "--with-total"))
+    assert (code, err, forks) == (0, b"", [])
+    assert (trace.counts["ingest.files"], trace.counts["indices.reports"], len(trace.profiles)) == (7, 8, 8)
+    assert [name for name, _, _, _ in trace.spans].count("ingest.scan") == 1

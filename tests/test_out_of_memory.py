@@ -1,4 +1,4 @@
-"""Running out of memory ends in one error line, and ``table`` goes on past the file.
+"""Running out of memory ends in one error line, and ``table`` goes on past the file, in one process or two.
 
 Each case runs the CLI in a child process that caps its own address space a
 little above what it has mapped once ``citemetric.cli`` is imported, then
@@ -22,7 +22,7 @@ HEADROOM = 48 << 20  # bytes the child may map beyond its baseline; the large pr
 _CAPPED = """
 import resource, sys
 from citemetric import cli
-cli._TWO_PROCESS_BYTES = int(sys.argv[1])
+cli._TWO_PROCESS_BYTES = cli._TWO_PROCESS_FILES = int(sys.argv[1])
 with open("/proc/self/statm", encoding="ascii") as statm:
     baseline = int(statm.read().split()[0]) * resource.getpagesize()
 resource.setrlimit(resource.RLIMIT_AS, (baseline + {headroom}, resource.getrlimit(resource.RLIMIT_AS)[1]))
@@ -59,6 +59,18 @@ def test_compute_ends_in_one_line(inputs):
 def test_table_records_the_file_and_tabulates_the_rest(inputs):
     code, stdout, stderr = _capped(inputs, 0, "table", ".")
     assert (code, stderr) == (1, "error: big.json: out of memory\n")
+    assert [row.split(",")[0] for row in stdout.splitlines()] == ["no", "small"]
+
+
+@pytest.mark.parametrize("big", ["a.json", "b.json"], ids=["first-half", "second-half"])
+def test_table_records_the_file_in_either_half_in_one_or_two_processes(inputs, tmp_path, big):
+    # with the threshold at 0 a forked child reads b.json, and records running out as this process does
+    (tmp_path / big).symlink_to(inputs / "big.json")
+    (tmp_path / ({"a.json": "b.json", "b.json": "a.json"}[big])).symlink_to(inputs / "small.json")
+    runs = [_capped(tmp_path, limit, "table", ".") for limit in (0, sys.maxsize)]
+    assert runs[0] == runs[1]
+    code, stdout, stderr = runs[0]
+    assert (code, stderr) == (1, f"error: {big}: out of memory\n")
     assert [row.split(",")[0] for row in stdout.splitlines()] == ["no", "small"]
 
 
