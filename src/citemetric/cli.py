@@ -81,9 +81,10 @@ def _may_fork() -> bool:
 
 # Each half of the inputs needs this many bytes of regular files before a forked
 # child loads the second one.  The fork costs both processes a copy-on-write fault
-# on each page they write afterwards, and the child's profiles a marshal round trip.
+# on each page they write afterwards, and the child's profiles a pickle round trip.
 # Measured as whole `merge A B` processes, one process against two (2 cores, Python
-# 3.11, medians of 20 alternating runs, Pareto counts): 5·10^4 works a file (157 KB
+# 3.11, medians of 20 alternating runs, Pareto counts, a marshal payload that loaded
+# 5·10^5 counts about 2 ms faster than pickle does): 5·10^4 works a file (157 KB
 # as JSON, 108 KB as CSV) 177 → 171 and 176 → 174 ms, and `plot` of the JSON pair
 # 229 → 234 ms; 10^5 works (315 KB, 215 KB) 224 → 209 and 226 → 209 ms.
 _TWO_PROCESS_BYTES = 200_000
@@ -114,9 +115,10 @@ def _load_profiles(paths: Sequence[str]) -> list[tuple[CitationProfile, str | No
     split = _child_half(paths)
     if split == len(paths):
         return [_load_profile(path) for path in paths]
-    from .loader import load_profiles  # imported only for a load in two processes
+    from .loader import in_two_processes  # imported only for a load in two processes
 
-    return load_profiles(paths, split, _load_profile)
+    first, rest = in_two_processes(paths, split, lambda half: [_load_profile(path) for path in half])
+    return first + rest
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -182,9 +184,10 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[ScanFailure], list[tuple
     if split < max(_TWO_PROCESS_FILES, 1):
         result = scan_directory(args.directory, skip=args.output)  # the one call bench/tracer.py times as ingest.scan
         return list(result.failures), _build_and_report(result.documents)
-    from .loader import tabulate  # imported only for a table in two processes
+    from .loader import in_two_processes  # imported only for a table in two processes
 
-    return tabulate(entries, split, _tabulate)
+    (failures, rows), (more_failures, more_rows) = in_two_processes(entries, split, _tabulate)
+    return failures + more_failures, rows + more_rows
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -10,11 +10,12 @@ running or unreaped.
 
 import importlib
 import io
-import marshal
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,13 @@ def test_a_failing_input_in_either_half_gives_the_one_process_error(tmp_path, mo
     assert runs[0] == runs[1] == (1, b"", f"error: bad{min(bad)}.csv: line 3: not an integer: 'x'\n".encode(), None)
 
 
+def _cut_short(monkeypatch):
+    """Every payload a forked child sends comes one byte short."""
+    cut = types.SimpleNamespace(**vars(pickle))
+    cut.dumps = lambda value, protocol: pickle.dumps(value, protocol)[:-1]
+    monkeypatch.setattr(loader, "pickle", cut)
+
+
 @pytest.mark.parametrize("end", ["killed", "cut-short"])
 def test_a_child_that_ends_without_its_whole_payload_is_recovered(tmp_path, monkeypatch, capsysbinary, forks, end):
     _inputs(tmp_path)
@@ -126,15 +134,7 @@ def test_a_child_that_ends_without_its_whole_payload_is_recovered(tmp_path, monk
 
         monkeypatch.setattr(cli, "_load_document", load_or_die)
     else:
-
-        class CutShort:
-            loads = staticmethod(marshal.loads)
-
-            @staticmethod
-            def dumps(value):
-                return marshal.dumps(value)[:-1]
-
-        monkeypatch.setattr(loader, "marshal", CutShort)
+        _cut_short(monkeypatch)
     args = ("merge", "a.json", "b.csv", "c.json", "--include-kh")
     recovered = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
     assert len(forks) == 1
@@ -186,6 +186,40 @@ def test_a_child_still_loading_when_the_first_half_fails_is_stopped(tmp_path):
     assert (child.returncode, child.stdout, child.stderr) == (1, "", "error: bad.csv: line 3: not an integer: 'x'\n")
 
 
+# Lowers its own descriptor limit to one above those it has open, so that a pipe, which
+# needs two, fails while each file still opens; exits with a message if a pipe opens.
+_MERGE_OUT_OF_DESCRIPTORS = """if True:
+    import os, resource, sys
+    from citemetric import cli
+    cli._TWO_PROCESS_BYTES = int(sys.argv[1])
+    open_now = len(os.listdir("/proc/self/fd")) - 1  # less the one that lists them
+    resource.setrlimit(resource.RLIMIT_NOFILE, (open_now + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+    try:
+        os.pipe()
+    except OSError:
+        sys.exit(cli.main(sys.argv[2:]))
+    sys.exit("a pipe still opens")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts its open descriptors in /proc/self/fd")
+def test_a_merge_with_no_descriptor_for_a_pipe_loads_in_one_process(tmp_path):
+    pytest.importorskip("resource")
+    _inputs(tmp_path)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _MERGE_OUT_OF_DESCRIPTORS, str(limit), "merge", "a.json", "b.csv", "-o", "out.json"],
+            cwd=tmp_path,
+            env=_child_env(),
+            capture_output=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+        for limit in (0, NO_LIMIT)
+    ]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(0, runs[1].stdout, "")] * 2
+
+
 def test_each_half_must_reach_the_threshold(tmp_path, monkeypatch):
     _inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -221,7 +255,7 @@ def test_a_traced_run_loads_every_input_in_its_own_process(tmp_path, monkeypatch
 
 def test_a_load_in_one_process_leaves_the_loader_unimported(tmp_path):
     _inputs(tmp_path)
-    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules)"
+    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules or 'pickle' in sys.modules)"
     child = subprocess.run(
         [sys.executable, "-c", run, "merge", "a.json", "b.csv", "-o", "out.json"],
         cwd=tmp_path,
@@ -378,15 +412,7 @@ def test_a_table_child_that_ends_without_its_whole_payload_is_recovered(
 
         monkeypatch.setattr(cli, "read_profiles", read_or_die)
     else:
-
-        class CutShort:
-            loads = staticmethod(marshal.loads)
-
-            @staticmethod
-            def dumps(value):
-                return marshal.dumps(value)[:-1]
-
-        monkeypatch.setattr(loader, "marshal", CutShort)
+        _cut_short(monkeypatch)
     args = ("table", "corpus", "--with-total", "--include-kh")
     recovered = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
     assert len(forks) == 1
@@ -394,9 +420,38 @@ def test_a_table_child_that_ends_without_its_whole_payload_is_recovered(
     assert recovered[:3] == (1, b"", f"error: {Path('corpus', 'bad.csv')}: line 3: not an integer: 'x'\n".encode())
 
 
+@pytest.mark.parametrize(
+    "args, shown",
+    [
+        pytest.param(
+            ("merge", "corpus/a.json", os.fsdecode(b"corpus/z\xff.csv"), "--label", "team"),
+            b"c_sigma: %d\n" % (2**54 + 2 + 18),
+            id="merge",
+        ),
+        pytest.param(("table", "corpus"), b"\nz\xff,3,3,%d," % (2**54 + 2), id="table"),
+    ],
+)
+def test_the_child_half_comes_back_whole(tmp_path, monkeypatch, capsysbinary, forks, args, shown):
+    # z\xff.csv, in the child's half, gives an author id with a surrogate (a merged document
+    # could not hold it, so merge takes a label), and counts whose sum passes 2**53:
+    # c_sigma is an int that no float holds, and c_s a rounded float
+    _table_corpus(tmp_path / "corpus")
+    (tmp_path / "corpus" / os.fsdecode(b"z\xff.csv")).write_text(f"citations\n{2**53}\n{2**53 - 1}\n3\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for limit in (0, NO_LIMIT):
+        runs[limit] = _run(monkeypatch, capsysbinary, limit, (*args, "--include-kh"), tmp_path / "out")
+        assert len(forks) == (1 if limit == 0 else 0)
+        forks.clear()
+    assert runs[0] == runs[NO_LIMIT]
+    code, stdout, stderr, data = runs[0]
+    assert (code, stderr) == (0, b"")
+    assert shown in stdout + data
+
+
 def test_a_table_below_the_threshold_leaves_the_loader_unimported(tmp_path):
     _table_corpus(tmp_path / "corpus")  # seven entries, below the threshold
-    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules)"
+    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules or 'pickle' in sys.modules)"
     child = subprocess.run(
         [sys.executable, "-c", run, "table", "corpus", "--with-total", "-o", "out.csv"],
         cwd=tmp_path,
