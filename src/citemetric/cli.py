@@ -82,12 +82,14 @@ def _may_fork() -> bool:
 # Each half of the inputs needs this many bytes of regular files before a forked
 # child loads the second one.  The fork costs both processes a copy-on-write fault
 # on each page they write afterwards, and the child's profiles a pickle round trip.
-# Measured as whole `merge A B` processes, one process against two (2 cores, Python
-# 3.11, medians of 20 alternating runs, Pareto counts, a marshal payload that loaded
-# 5·10^5 counts about 2 ms faster than pickle does): 5·10^4 works a file (157 KB
-# as JSON, 108 KB as CSV) 177 → 171 and 176 → 174 ms, and `plot` of the JSON pair
-# 229 → 234 ms; 10^5 works (315 KB, 215 KB) 224 → 209 and 226 → 209 ms.
-_TWO_PROCESS_BYTES = 200_000
+# The smallest size at which two processes won `merge` in at least 15 of 20 runs and
+# `plot` in at least 10, as whole CLI processes on two JSON files of Pareto counts
+# (2 cores, Python 3.11, no bytecode cache, rounds of 20 alternating runs, two
+# processes' wins in each round): at 158 KB a file `merge` won 16, 14 and 9; at
+# 205 KB 13 and 12; at 227 KB 16 and 17 (medians −5.5%, −3.6%) and `plot` 16 and
+# 11 (−2.9%, −2.7%); at 410 KB `merge` 19 and 18 (−12%).  So long_curve_plot's
+# 158 KB files load in one process.
+_TWO_PROCESS_BYTES = 226_000
 
 
 def _child_half(paths: Sequence[str]) -> int:
@@ -155,45 +157,68 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 # Each half of a table's listing needs this many entries before a forked child
 # reads, builds and reports the second one.  The count comes from the listing
-# alone: a stat per entry costs 4 µs, 8 ms over 2,000 entries.  Measured as
-# `table --with-total --include-kh` inside the process, one process against two
-# (2 cores, Python 3.11, medians of 20 to 40 alternating runs, the benchmark's
-# corpus of 1 to 300 works a file): 120 files +2.6%, 240 files -3.9%, 480 files
-# -8.1%, 2,000 files -19%.
-_TWO_PROCESS_FILES = 120
+# alone: a stat per entry costs 4 µs, 8 ms over 2,000 entries.  The smallest half
+# at which two processes won at least 15 of 20 runs, as whole `table --with-total
+# --include-kh` processes on the benchmark's corpus of 1 to 300 works a file (as
+# above): 240 files won 6 and 9, 360 files 13, 8 and 8, 480 files 16, 17 and 16
+# (medians −3.2% to −3.7%), 1,000 files 20 and 18 (−13.4%, −14.0%).
+_TWO_PROCESS_FILES = 240
 
 
-def _build_and_report(documents: Sequence[ProfileDocument]) -> list[tuple[CitationProfile, IndexReport]]:
-    """Each document's profile and report; every profile is built before the first is reported."""
-    profiles = [document.to_profile() for document in documents]
-    return list(zip(profiles, map(compute_report, profiles)))
+_Row = tuple[CitationProfile, IndexReport]
 
 
-def _tabulate(
-    entries: Sequence[tuple[str, os.DirEntry]],
-) -> tuple[list[ScanFailure], list[tuple[CitationProfile, IndexReport]]]:
-    """Failures and rows of listed entries, phase by phase: all parsed, then all built, then all reported."""
+def _build_and_report(documents: Sequence[ProfileDocument]) -> tuple[list[str], list[_Row]]:
+    """The author ids of the documents that ran out of memory, and each other document's profile and report.
+
+    Every profile is built before the first is reported.  A document carries
+    no path, so a profile that runs out is named by its author id.
+    """
+    lost: list[str] = []
+    profiles: list[CitationProfile] = []
+    for document in documents:
+        try:
+            profiles.append(document.to_profile())
+            continue
+        except MemoryError:
+            pass  # leaving the handler lets go of what the failed build held
+        lost.append(document.author_id)
+    rows: list[_Row] = []
+    for profile in profiles:
+        try:
+            rows.append((profile, compute_report(profile)))
+            continue
+        except MemoryError:
+            pass
+        lost.append(profile.author_id)
+    return lost, rows
+
+
+def _tabulate(entries: Sequence[tuple[str, os.DirEntry]]) -> tuple[list[ScanFailure], list[str], list[_Row]]:
+    """Failures, lost author ids and rows of listed entries: all parsed, then all built, then all reported."""
     documents, failures = read_profiles(entries)
-    return failures, _build_and_report(documents)
+    return (failures, *_build_and_report(documents))
 
 
-def _table_rows(args: argparse.Namespace) -> tuple[list[ScanFailure], list[tuple[CitationProfile, IndexReport]]]:
-    """The failures and rows of the table's directory, with the second half of a long listing in a forked child."""
+def _table_rows(args: argparse.Namespace) -> tuple[list[ScanFailure], list[str], list[_Row]]:
+    """The failures, lost author ids and rows of the directory, a long listing's second half read in a forked child."""
     entries = list_profiles(args.directory, skip=args.output) if _may_fork() else []
     split = len(entries) // 2
     if split < max(_TWO_PROCESS_FILES, 1):
         result = scan_directory(args.directory, skip=args.output)  # the one call bench/tracer.py times as ingest.scan
-        return list(result.failures), _build_and_report(result.documents)
+        return (list(result.failures), *_build_and_report(result.documents))
     from .loader import in_two_processes  # imported only for a table in two processes
 
-    (failures, rows), (more_failures, more_rows) = in_two_processes(entries, split, _tabulate)
-    return failures + more_failures, rows + more_rows
+    (failures, lost, rows), (more_failures, more_lost, more_rows) = in_two_processes(entries, split, _tabulate)
+    return failures + more_failures, lost + more_lost, rows + more_rows
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    failures, rows = _table_rows(args)
+    failures, lost, rows = _table_rows(args)
     for failure in failures:
         print(f"error: {failure.path}: {failure.error}", file=sys.stderr)
+    for author_id in sorted(lost):  # by author id, so that one process and two print them alike
+        print(f"error: {args.directory}: {author_id}: out of memory", file=sys.stderr)
     if not rows:
         raise CitemetricError(f"no readable profiles in {args.directory}")
     # Stable, so rows of one author id and c_max keep the listing's order, as they do
@@ -206,7 +231,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         write_report_table([report for _, report in rows], args.format, include_kh=args.include_kh, total=total),
         args.output,
     )
-    return 1 if failures else 0
+    return 1 if failures or lost else 0
 
 
 def _check_label(label: str | None, profiles: Sequence[CitationProfile] = ()) -> None:

@@ -4,10 +4,13 @@ Each case runs the CLI with the two-process thresholds at 0, so that any two
 regular files load in two processes, and any table of two entries is read,
 built and reported in two, and with no threshold, so that one process does
 it all, and checks that both runs write the same bytes, the same error lines
-and the same exit code.  After each case no child of this process is left,
-running or unreaped.
+and the same exit code.  One case runs each command in a child process at the
+program's own thresholds, on inputs just past them, and again pinned to one
+CPU, where it must not fork.  After each case no child of this process is
+left, running or unreaped.
 """
 
+import errno
 import importlib
 import io
 import os
@@ -15,6 +18,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -22,6 +26,7 @@ import pytest
 
 from citemetric import cli, loader
 from citemetric.cli import main
+from citemetric.ingest import ProfileDocument
 from test_cli import _child_env, _write_json
 
 NO_LIMIT = sys.maxsize
@@ -314,40 +319,52 @@ def _bad_entry(directory, kind, name):
         os.mkfifo(path)  # opening it would wait for a writer
 
 
-# Counts its forks, and fails if a child is left unreaped; its stdout holds the fork count alone.
-_TABLE_IN_A_CHILD = """if True:
+# The CLI under -W error, pinned first to one CPU if argv[1] is "pinned", as `taskset -c 0`
+# would pin it, and with both thresholds at argv[2] unless it is "-".  It counts its forks
+# into the file argv[3], apart from the command's own output, and fails if a child is left.
+_CLI_IN_A_CHILD = """if True:
     import os, sys
+    pinned, limit, forks_file, *args = sys.argv[1:]
+    if pinned == "pinned":
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
     from citemetric import cli
-    cli._TWO_PROCESS_FILES = int(sys.argv[1])
+    if limit != "-":
+        cli._TWO_PROCESS_BYTES = cli._TWO_PROCESS_FILES = int(limit)
     fork, forks = os.fork, []
     os.fork = lambda: forks.append(fork()) or forks[-1]
-    code = cli.main(sys.argv[2:])
+    code = cli.main(args)
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        print(len(forks))
+        with open(forks_file, "w", encoding="ascii") as counted:
+            counted.write(str(len(forks)))
         sys.exit(code)
     sys.exit("a child was left")
 """
 
 
-def _table_in_a_child(directory, limit):
-    """Exit code, forks, stderr and the -o file's bytes of ``table`` run in a child process.
+def _cli_in_a_child(cwd, args, limit=None, pinned=False):
+    """The forks made, and the exit code, stdout, stderr and -o file's bytes, of the CLI run in a child process.
 
-    In a child process, so that a table that opens a FIFO fails the test instead of hanging it.
+    In a child process, so that a command that opens a FIFO fails the test
+    instead of hanging it, and so that it may be pinned to one CPU.  ``limit``
+    sets both thresholds; by default they are the program's own.
     """
-    out = directory.parent / "table.csv"
+    out, forks = cwd / "child.out", cwd / "child.forks"
     child = subprocess.run(
-        [sys.executable, "-c", _TABLE_IN_A_CHILD, str(limit), "table", directory.name, "--with-total", "-o", out.name],
-        cwd=directory.parent,
+        [sys.executable, "-W", "error", "-c", _CLI_IN_A_CHILD, "pinned" if pinned else "free",
+         "-" if limit is None else str(limit), forks.name, *args, "-o", out.name],
+        cwd=cwd,
         env=_child_env(),
         capture_output=True,
         encoding="utf-8",
-        timeout=60,
+        timeout=120,
     )
     data = out.read_bytes() if out.exists() else None
+    counted = int(forks.read_text(encoding="ascii")) if forks.exists() else None
     out.unlink(missing_ok=True)
-    return child.returncode, child.stdout, child.stderr, data
+    forks.unlink(missing_ok=True)
+    return counted, (child.returncode, child.stdout, child.stderr, data)
 
 
 @pytest.mark.parametrize("half", ["first", "second"])
@@ -371,10 +388,10 @@ def test_a_failing_entry_in_either_half_of_a_table_gives_the_one_process_error(t
     _bad_entry(directory, kind, name)
     listed = [entry.name for _, entry in cli.list_profiles(directory)]
     assert (listed.index(name) < len(listed) // 2) == (half == "first")
-    two, one = (_table_in_a_child(directory, limit) for limit in (0, NO_LIMIT))
-    assert (two[1], one[1]) == ("1\n", "0\n")
-    assert (two[0], two[2:]) == (one[0], one[2:])
-    code, _, stderr, table = two
+    two, one = (_cli_in_a_child(tmp_path, ("table", "corpus", "--with-total"), limit) for limit in (0, NO_LIMIT))
+    assert (two[0], one[0]) == (1, 0)
+    assert two[1] == one[1]
+    code, _, stderr, table = two[1]
     assert code == 1 and stderr.startswith(f"error: {Path('corpus', name)}: ") and stderr.count("\n") == 1
     assert table.decode("utf-8").count("\n") == 10  # header, eight rows and the total
 
@@ -384,14 +401,128 @@ def test_a_table_of_failing_entries_alone_fails_in_either_half(tmp_path):
     directory.mkdir()
     for kind, name in [("directory", "d.json"), ("dangling", "s.json"), ("not-utf8", "u.csv"), ("fifo", "x.csv")]:
         _bad_entry(directory, kind, name)
-    two, one = (_table_in_a_child(directory, limit) for limit in (0, NO_LIMIT))
-    assert (two[1], one[1]) == ("1\n", "0\n")
-    assert (two[0], two[2:]) == (one[0], one[2:])
-    code, _, stderr, table = two
+    two, one = (_cli_in_a_child(tmp_path, ("table", "corpus", "--with-total"), limit) for limit in (0, NO_LIMIT))
+    assert (two[0], one[0]) == (1, 0)
+    assert two[1] == one[1]
+    code, _, stderr, table = two[1]
     assert (code, table) == (1, None)
     assert [line.split(": ")[1] for line in stderr.splitlines()] == [
         str(Path("corpus", name)) for name in ("d.json", "s.json", "u.csv", "x.csv")
     ] + ["no readable profiles in corpus"]
+
+
+def _profile_over(path, size):
+    """A profile of two-digit counts whose file holds just over ``size`` bytes, as JSON or CSV by its suffix."""
+    counts = [10 + i * 37 % 90 for i in range(size // 3 + 1)]  # a count takes three bytes in CSV, four in JSON
+    if path.suffix == ".csv":
+        path.write_text("citations\n" + "".join(f"{count}\n" for count in counts), encoding="utf-8")
+    else:
+        _write_json(path, path.stem, counts[: size // 4 + 1])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("merge", "a.json", "b.csv", "--include-kh"),
+        ("compare", "a.json", "b.csv"),
+        ("plot", "a.json", "b.csv", "--format", "csv"),
+        ("table", "corpus", "--with-total", "--include-kh"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_past_the_thresholds_a_command_forks_once_and_pinned_to_one_cpu_never_with_the_same_bytes(tmp_path, args):
+    # input sizes are read from the thresholds, so a new threshold needs no edit here
+    if args[0] == "table":
+        (tmp_path / "corpus").mkdir()
+        for i in range(2 * cli._TWO_PROCESS_FILES):
+            _write_json(tmp_path / "corpus" / f"a{i:04d}.json", f"a{i:04d}", [i % 50 + 1, i % 7, 1])
+        (tmp_path / "corpus" / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")  # listed last, in the child's half
+    else:
+        _profile_over(tmp_path / "a.json", cli._TWO_PROCESS_BYTES)
+        _profile_over(tmp_path / "b.csv", cli._TWO_PROCESS_BYTES)
+    (forks, two), (none, one) = (_cli_in_a_child(tmp_path, args, pinned=pinned) for pinned in (False, True))
+    assert (forks, none) == (1, 0)
+    assert two == one
+    code, stdout, stderr, data = two
+    if args[0] == "table":
+        assert (code, stdout, stderr) == (1, "", f"error: {Path('corpus', 'bad.csv')}: line 3: not an integer: 'x'\n")
+        assert data.count(b"\n") == 2 * cli._TWO_PROCESS_FILES + 2  # the header, every good file and the total
+    else:
+        assert (code, stderr) == (0, "") and data
+
+
+def test_a_second_live_thread_keeps_every_input_in_this_process(tmp_path, monkeypatch, capsysbinary, forks):
+    # a fork copies the calling thread alone
+    _table_corpus(tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_TWO_PROCESS_BYTES", 0)
+    paths = ["corpus/a.json", "corpus/b.csv", "corpus/c.json"]
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        split = cli._child_half(paths)
+        code = _run(monkeypatch, capsysbinary, 0, ("table", "corpus"), tmp_path / "out")[0]
+    finally:
+        release.set()
+        waiting.join(timeout=60)
+    assert not waiting.is_alive()
+    assert (split, code, forks) == (3, 0, [])
+    assert cli._child_half(paths) == 1  # with the thread gone
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts its open descriptors in /proc/self/fd")
+def test_a_failing_fork_leaves_both_halves_to_this_process(tmp_path, monkeypatch, capsysbinary):
+    _inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = ("merge", "a.json", "b.csv", "c.json", "--include-kh")
+    one = _run(monkeypatch, capsysbinary, NO_LIMIT, args, tmp_path / "out")
+
+    def out_of_processes():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", out_of_processes)
+    open_before = os.listdir("/proc/self/fd")
+    two = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
+    assert os.listdir("/proc/self/fd") == open_before
+    assert two == one and two[0] == 0
+
+
+@pytest.mark.parametrize("step", ["build", "report"])
+def test_a_profile_that_runs_out_of_memory_in_a_table_costs_only_its_own_row(
+    tmp_path, monkeypatch, capsysbinary, forks, step
+):
+    # c.json is in this process's half of the listing, b.csv and bad.csv in the child's
+    _table_corpus(tmp_path / "corpus")
+    (tmp_path / "corpus" / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    owner, name = (ProfileDocument, "to_profile") if step == "build" else (cli, "compute_report")
+    step_of = getattr(owner, name)
+
+    def out_of_memory_for_b_and_c(item):
+        if item.author_id in ("b", "c"):
+            raise MemoryError
+        return step_of(item)
+
+    monkeypatch.setattr(owner, name, out_of_memory_for_b_and_c)
+    args = ("table", "corpus", "--with-total")
+    runs = {}
+    for limit in (0, NO_LIMIT):
+        runs[limit] = _run(monkeypatch, capsysbinary, limit, args, tmp_path / "out")
+        assert len(forks) == (1 if limit == 0 else 0)
+        forks.clear()
+    assert runs[0] == runs[NO_LIMIT]
+    code, stdout, stderr, table = runs[0]
+    assert (code, stdout) == (1, b"")
+    assert stderr.decode("utf-8").splitlines() == [
+        f"error: {Path('corpus', 'bad.csv')}: line 3: not an integer: 'x'",
+        "error: corpus: b: out of memory",
+        "error: corpus: c: out of memory",
+    ]
+    assert [line.split(",")[0] for line in table.decode("utf-8").splitlines()] == [
+        "no", "d", "a", "a", "f", "e", "total"
+    ]
 
 
 @pytest.mark.parametrize("end", ["killed", "cut-short"])
