@@ -22,6 +22,11 @@ count, a byte total or ``ingest.parsed_ratio`` that differs between the
 two sides of a pair, as a dropped or doubled span makes it, is printed
 as a failure, and the script exits 1.
 
+The header line and the summary say which start-up the pairs measured:
+whether the children write a bytecode cache, which they inherit from
+``PYTHONDONTWRITEBYTECODE`` in this script's environment.  Without one,
+every child compiles each module it imports.
+
 BASE and CHANGE are anything ``git archive`` takes; they must hold the
 same ``bench/`` and ``BENCHMARK.json``, so that both sides run one
 harness.  Uncommitted work can be measured as ``$(git stash create)``, a
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import signal
 import statistics
@@ -39,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Mapping
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10  # fewer pairs never make a gain
@@ -62,6 +69,14 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> d
     if not summary["correct"]:
         raise RuntimeError(f"{checkout}: {summary['failed']} of {summary['attempted']} commands failed")
     return {name: metric["value"] for name, metric in summary["metrics"].items()}
+
+
+def bytecode_cache(environ: Mapping[str, str]) -> str:
+    """Whether children started with ``environ`` write a bytecode cache: Python writes none when
+    ``PYTHONDONTWRITEBYTECODE`` is a non-empty string."""
+    if environ.get("PYTHONDONTWRITEBYTECODE"):
+        return "no bytecode cache (PYTHONDONTWRITEBYTECODE is set)"
+    return "children write a bytecode cache (PYTHONDONTWRITEBYTECODE is unset or empty)"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -151,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {metric["name"]: metric["better"] for metric in declared}
     exact = exact_metrics(declared)
 
+    cache = bytecode_cache(os.environ)
+    print(f"{args.workload}: base {args.base} -> change {args.change}, {args.pairs} pairs, {cache}", flush=True)
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # run the cleanup below
     sides = {}
     try:
@@ -170,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         for directory in sides.values():
             shutil.rmtree(directory, ignore_errors=True)
-    print(f"{args.workload}: base {args.base} -> change {args.change}, {len(pairs)} pairs, "
+    print(f"{args.workload}: base {args.base} -> change {args.change}, {len(pairs)} pairs, {cache}, "
           "median [first quartile, third quartile]")
     for row in summarize(pairs, better):
         print("  " + _format_row(row))

@@ -4,77 +4,49 @@ Build piecewise-linear citation functions from per-work citation
 counts, read scalar indices off them (h, g in two variants, m, i_k,
 c_k and the crossing-based kh family), pool authors into collectives,
 and export report tables and SVG charts.
-"""
 
-from .collective import collective_report, merge_profiles
-from .errors import (
-    CitemetricError,
-    DomainError,
-    EmptyProfileError,
-    MissingFieldError,
-    ParseError,
-    ValidationError,
-)
-from .indices import (
-    c_k,
-    compute_report,
-    g_index_egghe,
-    g_index_parabola,
-    h_index,
-    i_k,
-    kh1,
-    kh2,
-    kh3,
-    kh_max,
-    line_crossing,
-    m_index,
-)
-from .ingest import (
-    ProfileDocument,
-    format_real,
-    parse_profile,
-    round_half_up,
-    scan_directory,
-    write_profile,
-    write_report_table,
-)
-from .profile import build_profile
-from .render import build_plot_spec, render_svg, write_points_csv
-from .synth import synthesize_counts
+Each export and each submodule loads on first access (PEP 562), so a
+program that never renders or synthesizes does not compile ``render``
+or ``synth``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CitemetricError",
-    "DomainError",
-    "EmptyProfileError",
-    "MissingFieldError",
-    "ParseError",
-    "ProfileDocument",
-    "ValidationError",
-    "build_plot_spec",
-    "build_profile",
-    "c_k",
-    "collective_report",
-    "compute_report",
-    "format_real",
-    "g_index_egghe",
-    "g_index_parabola",
-    "h_index",
-    "i_k",
-    "kh1",
-    "kh2",
-    "kh3",
-    "kh_max",
-    "line_crossing",
-    "m_index",
-    "merge_profiles",
-    "parse_profile",
-    "render_svg",
-    "round_half_up",
-    "scan_directory",
-    "synthesize_counts",
-    "write_points_csv",
-    "write_profile",
-    "write_report_table",
-]
+_EXPORTS = {  # submodule -> the names exported from it
+    "collective": ("collective_report", "merge_profiles"),
+    "errors": (
+        "CitemetricError", "DomainError", "EmptyProfileError", "MissingFieldError", "ParseError", "ValidationError",
+    ),
+    "indices": (
+        "c_k", "compute_report", "g_index_egghe", "g_index_parabola", "h_index", "i_k",
+        "kh1", "kh2", "kh3", "kh_max", "line_crossing", "m_index",
+    ),
+    "ingest": (
+        "ProfileDocument", "format_real", "parse_profile", "round_half_up",
+        "scan_directory", "write_profile", "write_report_table",
+    ),
+    "profile": ("build_profile",),
+    "render": ("build_plot_spec", "render_svg", "write_points_csv"),
+    "synth": ("synthesize_counts",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """An export, or a submodule of ``_EXPORTS``, imported on first access and bound here from then on."""
+    from importlib import import_module
+
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

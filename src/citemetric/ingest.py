@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from stat import S_ISREG
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -58,15 +57,28 @@ def round_half_up(value: float, decimals: int = 1) -> float:
     return float(format_real(value, decimals))
 
 
-_TENTH = Decimal(1).scaleb(-1)  # the quantum of every table cell, built once
-
-
 def format_real(value: float | None, decimals: int = 1) -> str:
-    """Half-up fixed-point display; absent values print as '-'."""
+    """The value's shortest decimal form, ``str(value)``, rounded half-up to ``decimals`` places; None prints as '-'."""
     if value is None:
         return "-"
-    quantum = _TENTH if decimals == 1 else Decimal(1).scaleb(-decimals)
-    return str(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    if type(value) is float and 0 <= value < 2**45 and decimals == 1:
+        # A table cell, without decimal.  Below 2**45 half an ulp is under 0.002, so
+        # the float lies within 0.002 of its shortest form, and no float is a tie
+        # (2k+1)/20.  Two-decimal text that does not end in 5 puts the float 0.005 or
+        # more from every tie; text that ends in 5 but reads back as another float is
+        # a tie that does not lie between the float and its shortest form (else it
+        # would read back as the float).  Either way the two round alike, as "%.1f"
+        # rounds the float.  Otherwise the shortest form is that tie, as any other form
+        # of two decimals or fewer is 0.01 from it, too far to read back as the float,
+        # and the tie rounds up.
+        text = "%.2f" % value
+        if text[-1] != "5" or float(text) != value:
+            return "%.1f" % value
+        tenths = (int(text[:-3] + text[-2:]) + 5) // 10
+        return f"{tenths // 10}.{tenths % 10}"
+    from decimal import ROUND_HALF_UP, Decimal  # the exact route for any other value and precision
+
+    return str(Decimal(str(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP))
 
 
 def _check_encodable(text: str, name: str) -> None:

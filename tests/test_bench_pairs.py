@@ -9,7 +9,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from bench_pairs import exact_metrics, mismatches, quartiles, summarize  # noqa: E402  (from scripts/, on the path above)
+from bench_pairs import (  # noqa: E402  (from scripts/, on the path above)
+    bytecode_cache,
+    exact_metrics,
+    mismatches,
+    quartiles,
+    summarize,
+)
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -100,3 +106,9 @@ def test_counts_byte_totals_and_the_parsed_ratio_must_match_exactly():
         "pair 3: ingest.parsed_ratio 1 -> 2",
     ]
     assert mismatches([(same, dropped)], ["render.svg_s"]) == ["pair 1: render.svg_s 0.07 -> 0.06"]
+
+
+def test_the_header_and_summary_say_whether_children_write_a_bytecode_cache():
+    assert bytecode_cache({"PYTHONDONTWRITEBYTECODE": "1"}) == "no bytecode cache (PYTHONDONTWRITEBYTECODE is set)"
+    for environ in ({}, {"PYTHONDONTWRITEBYTECODE": ""}):  # Python writes a cache when the variable is empty
+        assert bytecode_cache(environ) == "children write a bytecode cache (PYTHONDONTWRITEBYTECODE is unset or empty)"

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from citemetric import (
     write_profile,
     write_report_table,
 )
+from citemetric.cli import main
 from citemetric.ingest import write_table
 
 
@@ -199,6 +202,32 @@ def test_half_up_rounding():
     assert format_real(2.0) == "2.0"
     assert format_real(1.6568542494923804) == "1.7"
     assert format_real(None) == "-"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.05, "0.1"),
+        (0.15, "0.2"),
+        (0.25, "0.3"),
+        (2.675, "2.7"),  # the float is 2.67499999..., its shortest form the tie
+        (9.95, "10.0"),
+        (1e-05, "0.0"),
+        (-0.0, "-0.0"),
+        (2**45 - 0.25, "35184372088831.8"),
+        (math.nan, "NaN"),
+        (np.float32(0.35), "0.4"),  # its own shortest form, '0.35', not the float64's 0.3499999940395355
+    ],
+)
+def test_display_rounds_the_shortest_form_half_up(value, text):
+    assert format_real(value) == text
+
+
+def test_compute_prints_a_tie_rounded_up(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text('{"author_id": "a", "citations": [3, 3, 2, 1]}', encoding="utf-8")
+    assert main(["compute", str(path)]) == 0
+    assert "c_s: 2.3\n" in capsys.readouterr().out  # 9 / 4 = 2.25
 
 
 def test_report_table_row_shape():

@@ -678,13 +678,28 @@ def _reference_format_real(value, decimals):
         return type(exc), exc.args
 
 
-@settings(max_examples=500)
+# one-decimal ties (2k+1)/20 up to 2**45, where table cells format without decimal
+display_ties = st.integers(min_value=0, max_value=10 * 2**45).map(lambda k: (2 * k + 1) / 20)
+display_floats = st.one_of(
+    st.floats(),  # NaN, ±inf, huge and tiny values included
+    display_ties,
+    st.tuples(display_ties, st.sampled_from([-math.inf, math.inf])).map(lambda pair: math.nextafter(*pair)),
+    display_ties.map(lambda tie: -tie),
+    st.floats(min_value=2.0**45 - 4, max_value=2.0**45 + 4),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 2.0**45 - 0.25]),
+)
+
+
+@settings(max_examples=1000)
 @example(0.05, 1)
 @example(0.25, 1)
 @example(-0.05, 1)
+@example(9.95, 1)
+@example(2.0**45 - 0.25, 1)
 @example(1e30, 1)  # 32 digits: quantize raises
 @example(2.0**53 + 0.5, 3)
-@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=0, max_value=3))
+@example(math.inf, 1)
+@given(display_floats | display_floats.map(np.float64), st.integers(min_value=0, max_value=3))
 def test_format_real_is_the_decimal_of_the_shortest_repr_rounded_half_up(value, decimals):
     try:
         got = format_real(value, decimals)
