@@ -25,7 +25,10 @@ as a failure, and the script exits 1.
 The header line and the summary say which start-up the pairs measured:
 whether the children write a bytecode cache, which they inherit from
 ``PYTHONDONTWRITEBYTECODE`` in this script's environment.  Without one,
-every child compiles each module it imports.
+every child compiles each module it imports.  They also give the Python
+version and the CPUs this script may run on, which the children inherit;
+with fewer than two, the CLI never loads its inputs in two processes, and a
+warning says that the pairs measure the one-process path only.
 
 BASE and CHANGE are anything ``git archive`` takes; they must hold the
 same ``bench/`` and ``BENCHMARK.json``, so that both sides run one
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import signal
 import statistics
@@ -77,6 +81,18 @@ def bytecode_cache(environ: Mapping[str, str]) -> str:
     if environ.get("PYTHONDONTWRITEBYTECODE"):
         return "no bytecode cache (PYTHONDONTWRITEBYTECODE is set)"
     return "children write a bytecode cache (PYTHONDONTWRITEBYTECODE is unset or empty)"
+
+
+def machine(version: str, cpus: int) -> str:
+    """The Python version and the number of usable CPUs that the children run with."""
+    return f"Python {version}, {cpus} usable CPU{'' if cpus == 1 else 's'}"
+
+
+def fork_warning(cpus: int) -> str | None:
+    """A warning when the children cannot fork: ``cli._may_fork`` needs at least two usable CPUs."""
+    if cpus >= 2:
+        return None
+    return f"warning: {cpus} usable CPU, so the CLI never forks and the pairs measure the one-process path only"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -166,8 +182,12 @@ def main(argv: list[str] | None = None) -> int:
     better = {metric["name"]: metric["better"] for metric in declared}
     exact = exact_metrics(declared)
 
-    cache = bytecode_cache(os.environ)
-    print(f"{args.workload}: base {args.base} -> change {args.change}, {args.pairs} pairs, {cache}", flush=True)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    setting = f"{bytecode_cache(os.environ)}, {machine(platform.python_version(), cpus)}"
+    warning = fork_warning(cpus)
+    print(f"{args.workload}: base {args.base} -> change {args.change}, {args.pairs} pairs, {setting}", flush=True)
+    if warning:
+        print(warning, flush=True)
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # run the cleanup below
     sides = {}
     try:
@@ -187,8 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         for directory in sides.values():
             shutil.rmtree(directory, ignore_errors=True)
-    print(f"{args.workload}: base {args.base} -> change {args.change}, {len(pairs)} pairs, {cache}, "
+    print(f"{args.workload}: base {args.base} -> change {args.change}, {len(pairs)} pairs, {setting}, "
           "median [first quartile, third quartile]")
+    if warning:
+        print(warning)
     for row in summarize(pairs, better):
         print("  " + _format_row(row))
     failures = mismatches(pairs, exact)

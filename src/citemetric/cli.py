@@ -201,11 +201,13 @@ def _tabulate(entries: Sequence[tuple[str, os.DirEntry]]) -> tuple[list[ScanFail
 
 def _table_rows(args: argparse.Namespace) -> tuple[list[ScanFailure], list[str], list[_Row]]:
     """The failures, lost author ids and rows of the directory, a long listing's second half read in a forked child."""
-    entries = list_profiles(args.directory, skip=args.output) if _may_fork() else []
-    split = len(entries) // 2
-    if split < max(_TWO_PROCESS_FILES, 1):
+    if not _may_fork():
         result = scan_directory(args.directory, skip=args.output)  # the one call bench/tracer.py times as ingest.scan
         return (list(result.failures), *_build_and_report(result.documents))
+    entries = list_profiles(args.directory, skip=args.output)
+    split = len(entries) // 2
+    if split < max(_TWO_PROCESS_FILES, 1):
+        return _tabulate(entries)
     from .loader import in_two_processes  # imported only for a table in two processes
 
     (failures, lost, rows), (more_failures, more_lost, more_rows) = in_two_processes(entries, split, _tabulate)

@@ -12,6 +12,8 @@ sys.path.insert(0, str(ROOT / "scripts"))
 from bench_pairs import (  # noqa: E402  (from scripts/, on the path above)
     bytecode_cache,
     exact_metrics,
+    fork_warning,
+    machine,
     mismatches,
     quartiles,
     summarize,
@@ -112,3 +114,15 @@ def test_the_header_and_summary_say_whether_children_write_a_bytecode_cache():
     assert bytecode_cache({"PYTHONDONTWRITEBYTECODE": "1"}) == "no bytecode cache (PYTHONDONTWRITEBYTECODE is set)"
     for environ in ({}, {"PYTHONDONTWRITEBYTECODE": ""}):  # Python writes a cache when the variable is empty
         assert bytecode_cache(environ) == "children write a bytecode cache (PYTHONDONTWRITEBYTECODE is unset or empty)"
+
+
+def test_the_header_and_summary_give_the_python_version_and_the_usable_cpus():
+    assert machine("3.11.7", 2) == "Python 3.11.7, 2 usable CPUs"
+    assert machine("3.13.0", 1) == "Python 3.13.0, 1 usable CPU"
+
+
+def test_fewer_than_two_usable_cpus_warn_that_the_pairs_measure_one_process():
+    assert fork_warning(1) == (
+        "warning: 1 usable CPU, so the CLI never forks and the pairs measure the one-process path only"
+    )
+    assert fork_warning(2) is None and fork_warning(64) is None

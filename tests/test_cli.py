@@ -4,8 +4,6 @@ import json
 import os
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -15,32 +13,11 @@ from hypothesis import strategies as st
 
 from citemetric import synthesize_counts
 from citemetric.cli import main
-
-
-_SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _child_env(encoding="utf-8"):
-    """A CLI child's environment: this checkout's source, and the tests' own guards.
-
-    Those are no bytecode written into the checkout, the development mode's
-    checks and a warning for text read or written in the locale's encoding.
-    """
-    env = {"PYTHONPATH": str(_SRC), "PYTHONIOENCODING": encoding}
-    for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONDEVMODE", "PYTHONWARNDEFAULTENCODING"):
-        if name in os.environ:
-            env[name] = os.environ[name]
-    return env
-
-
-def _write_json(path, author_id, citations, **extra):
-    data = {"author_id": author_id, "citations": list(citations), **extra}
-    path.write_text(json.dumps(data), encoding="utf-8")
-    return str(path)
+from harness import child_env, run_cli, run_python, write_json
 
 
 def test_compute_text_output(tmp_path, capsys):
-    path = _write_json(tmp_path / "w.json", "w", [2, 0, 0])
+    path = write_json(tmp_path / "w.json", "w", [2, 0, 0])
     assert main(["compute", path]) == 0
     out = capsys.readouterr().out
     assert "kh1: 2.0\n" in out
@@ -50,7 +27,7 @@ def test_compute_text_output(tmp_path, capsys):
 
 
 def test_compute_rounds_for_display(tmp_path, capsys):
-    path = _write_json(tmp_path / "a.json", "a", [7, 1], career_years=7)
+    path = write_json(tmp_path / "a.json", "a", [7, 1], career_years=7)
     assert main(["compute", path]) == 0
     out = capsys.readouterr().out
     assert "kh3: 4.2\n" in out
@@ -59,7 +36,7 @@ def test_compute_rounds_for_display(tmp_path, capsys):
 
 
 def test_compute_csv_output(tmp_path, capsys):
-    path = _write_json(tmp_path / "w.json", "w", [2, 0, 0], career_years=2)
+    path = write_json(tmp_path / "w.json", "w", [2, 0, 0], career_years=2)
     assert main(["compute", path, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "w,3,1,2,2,2,2.0,1,1,0.5,0,2.0,1.4,1.7"
@@ -77,7 +54,7 @@ def test_compute_reads_stdin_dash(tmp_path, capsys, monkeypatch):
     [("stdin", ["compute", "-"]), ("stdout", ["compute", None]), ("stdout", ["merge", None, "-o", "m.json"])],
 )
 def test_a_closed_standard_stream_ends_in_one_error_line(tmp_path, capsys, monkeypatch, stream, args):
-    path = _write_json(tmp_path / "a.json", "a", [3, 1])
+    path = write_json(tmp_path / "a.json", "a", [3, 1])
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(f"sys.{stream}", None)  # what the interpreter sets when the descriptor was closed at start
     assert main([arg or path for arg in args]) == 1
@@ -88,15 +65,9 @@ def test_a_closed_standard_stream_ends_in_one_error_line(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("fd, what", [(0, "input"), (1, "output")])
 def test_a_child_with_a_closed_standard_stream_ends_in_one_error_line(tmp_path, fd, what):
-    path = _write_json(tmp_path / "a.json", "a", [3, 1])
-    argv = [sys.executable, "-m", "citemetric.cli", "compute", "-" if fd == 0 else path]
-    child = subprocess.run(
-        ["sh", "-c", f'exec "$@" {fd}<&-', "sh", *argv],  # the shell closes the descriptor, then runs the CLI
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    path = write_json(tmp_path / "a.json", "a", [3, 1])
+    close = ("sh", "-c", f'exec "$@" {fd}<&-', "sh")  # the shell closes the descriptor, then runs the CLI
+    child = run_cli("compute", "-" if fd == 0 else path, wrap=close, encoding="utf-8")
     assert (child.returncode, child.stderr) == (1, f"error: standard {what} is closed\n")
 
 
@@ -115,7 +86,7 @@ def test_compute_malformed_json_names_the_position(tmp_path, capsys):
 
 
 def test_env_var_sets_default_format(tmp_path, capsys, monkeypatch):
-    path = _write_json(tmp_path / "w.json", "w", [2])
+    path = write_json(tmp_path / "w.json", "w", [2])
     monkeypatch.setenv("CITEMETRIC_FORMAT", "csv")
     assert main(["compute", path]) == 0
     assert capsys.readouterr().out.startswith("no,r0,")
@@ -125,17 +96,17 @@ def test_env_var_sets_default_format(tmp_path, capsys, monkeypatch):
 
 
 def test_table_orders_by_top_count_then_id(tmp_path, capsys):
-    _write_json(tmp_path / "y.json", "y", [9, 1])
-    _write_json(tmp_path / "x.json", "x", [9])
-    _write_json(tmp_path / "z.json", "z", [5, 5])
+    write_json(tmp_path / "y.json", "y", [9, 1])
+    write_json(tmp_path / "x.json", "x", [9])
+    write_json(tmp_path / "z.json", "z", [5, 5])
     assert main(["table", str(tmp_path)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["x", "y", "z"]
 
 
 def test_table_with_total_and_kh(tmp_path, capsys):
-    _write_json(tmp_path / "a.json", "a", [3])
-    _write_json(tmp_path / "b.json", "b", [2, 1])
+    write_json(tmp_path / "a.json", "a", [3])
+    write_json(tmp_path / "b.json", "b", [2, 1])
     assert main(["table", str(tmp_path), "--with-total", "--include-kh"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0].endswith(",kh")
@@ -143,13 +114,13 @@ def test_table_with_total_and_kh(tmp_path, capsys):
 
 
 def test_table_markdown(tmp_path, capsys):
-    _write_json(tmp_path / "a.json", "a", [3])
+    write_json(tmp_path / "a.json", "a", [3])
     assert main(["table", str(tmp_path), "--format", "md"]) == 0
     assert capsys.readouterr().out.startswith("| no | r0 |")
 
 
 def test_table_reports_bad_files_but_finishes(tmp_path, capsys):
-    _write_json(tmp_path / "good.json", "good", [4])
+    write_json(tmp_path / "good.json", "good", [4])
     (tmp_path / "bad.json").write_text("{oops", encoding="utf-8")
     assert main(["table", str(tmp_path)]) == 1  # diagnostics were emitted
     captured = capsys.readouterr()
@@ -171,17 +142,10 @@ def test_table_reports_bad_files_but_finishes(tmp_path, capsys):
     ],
 )
 def test_table_isolates_unreadable_entries(tmp_path, make_bad, message):
-    _write_json(tmp_path / "good.json", "good", [4])
+    write_json(tmp_path / "good.json", "good", [4])
     make_bad(tmp_path / "x.json")
     # in a child process, so that a scan that blocks on an entry fails the test instead of hanging it
-    child = subprocess.run(
-        [sys.executable, "-m", "citemetric.cli", "table", str(tmp_path)],
-        env=_child_env(),
-        capture_output=True,
-        text=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    child = run_cli("table", str(tmp_path), encoding="utf-8")
     assert child.returncode == 1
     assert len(child.stderr.splitlines()) == 1
     assert child.stderr.startswith(f"error: {tmp_path / 'x.json'}: {message}")
@@ -216,7 +180,7 @@ def test_table_of_a_mixed_directory_reports_each_bad_entry_and_tabulates_each_pr
     for i, (suffix, non_utf8) in enumerate(goods):
         path = entry(i, suffix, non_utf8)
         if suffix == ".json":
-            _write_json(path, f"g{i}", [i + 1])
+            write_json(path, f"g{i}", [i + 1])
             ids.add(f"g{i}")
         else:  # a CSV profile takes its id from the file name
             path.write_text(f"citations\n{i + 1}\n", encoding="utf-8")
@@ -227,14 +191,7 @@ def test_table_of_a_mixed_directory_reports_each_bad_entry_and_tabulates_each_pr
         _BAD_ENTRIES[kind](path)
         bad_paths.append(path)
     # in a child process with a deadline, so that a scan that blocks on an entry fails instead of hanging
-    child = subprocess.run(
-        [sys.executable, "-m", "citemetric.cli", "table", str(directory)],
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        errors="surrogateescape",
-        timeout=60,
-    )
+    child = run_cli("table", str(directory), encoding="utf-8", errors="surrogateescape")
     assert child.returncode == 1
     errors = child.stderr.splitlines()
     assert len(errors) == len(bad_paths)
@@ -255,9 +212,9 @@ def test_compute_non_utf8_file_fails_with_diagnostic(tmp_path, capsys):
 
 
 def test_table_reads_profiles_named_in_any_letter_case_and_dotfiles(tmp_path, capsys):
-    _write_json(tmp_path / "A.JSON", "upper", [5, 1])
+    write_json(tmp_path / "A.JSON", "upper", [5, 1])
     (tmp_path / "b.Csv").write_text("citations\n4\n", encoding="utf-8")
-    _write_json(tmp_path / ".json", "dotfile", [3])
+    write_json(tmp_path / ".json", "dotfile", [3])
     assert main(["table", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -270,8 +227,8 @@ def test_table_empty_directory_fails(tmp_path, capsys):
 
 
 def test_merge_emits_document_and_report(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "a", [3])
-    b = _write_json(tmp_path / "b.json", "b", [2, 1])
+    a = write_json(tmp_path / "a.json", "a", [3])
+    b = write_json(tmp_path / "b.json", "b", [2, 1])
     assert main(["merge", a, b, "--label", "pair"]) == 0
     out = capsys.readouterr().out
     doc = json.loads(out.splitlines()[0])
@@ -281,7 +238,7 @@ def test_merge_emits_document_and_report(tmp_path, capsys):
 
 
 def test_merge_writes_document_to_file(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "a", [3])
+    a = write_json(tmp_path / "a.json", "a", [3])
     out_path = tmp_path / "merged.json"
     assert main(["merge", a, "--label", "solo", "-o", str(out_path)]) == 0
     doc = json.loads(out_path.read_text(encoding="utf-8"))
@@ -296,7 +253,7 @@ def test_merge_group_sums(tmp_path, capsys):
         "g2": (1127, 541, 3649, 97),
         "g3": (301, 60, 219, 13),
     }.items():
-        paths.append(_write_json(tmp_path / f"{name}.json", name, synthesize_counts(r0, r, c_sigma, c_max)))
+        paths.append(write_json(tmp_path / f"{name}.json", name, synthesize_counts(r0, r, c_sigma, c_max)))
     assert main(["merge", *paths, "--label", "all", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     row = out.splitlines()[-1]
@@ -305,7 +262,7 @@ def test_merge_group_sums(tmp_path, capsys):
 
 
 def test_plot_svg_file(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "a", [7, 1])
+    a = write_json(tmp_path / "a.json", "a", [7, 1])
     out_path = tmp_path / "chart.svg"
     assert main(["plot", a, "-o", str(out_path)]) == 0
     svg = out_path.read_text(encoding="utf-8")
@@ -316,7 +273,7 @@ def test_plot_svg_file(tmp_path, capsys):
 
 def test_plot_with_merged_overlay(tmp_path):
     paths = [
-        _write_json(tmp_path / name, name.split(".")[0], counts)
+        write_json(tmp_path / name, name.split(".")[0], counts)
         for name, counts in [("a.json", [9, 2]), ("b.json", [4]), ("c.json", [3, 3])]
     ]
     out_path = tmp_path / "chart.svg"
@@ -327,14 +284,14 @@ def test_plot_with_merged_overlay(tmp_path):
 
 
 def test_plot_log_axis_flag(tmp_path):
-    a = _write_json(tmp_path / "a.json", "a", [1000, 10, 1])
+    a = write_json(tmp_path / "a.json", "a", [1000, 10, 1])
     out_path = tmp_path / "chart.svg"
     assert main(["plot", a, "--log-y", "-o", str(out_path)]) == 0
     assert ">1000<" in out_path.read_text(encoding="utf-8")  # decade tick labels
 
 
 def test_plot_points_csv(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "a", [7, 1])
+    a = write_json(tmp_path / "a.json", "a", [7, 1])
     assert main(["plot", a, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "label,kind,r,c"
@@ -343,7 +300,7 @@ def test_plot_points_csv(tmp_path, capsys):
 
 def test_plot_points_csv_writes_curve_counts_whole(tmp_path, capsys):
     # an 11-digit count keeps every digit in its curve row; marker rows keep ten significant digits
-    b = _write_json(tmp_path / "b.json", "b", [12345678901, 98765, 3])
+    b = write_json(tmp_path / "b.json", "b", [12345678901, 98765, 3])
     assert main(["plot", b, "--format", "csv"]) == 0
     assert capsys.readouterr().out == (
         "label,kind,r,c\n"
@@ -363,7 +320,7 @@ def test_table_quotes_an_id_of_a_bare_cr(tmp_path, capsysbinary):
 
 
 def test_plot_is_deterministic(tmp_path):
-    a = _write_json(tmp_path / "a.json", "a", [8, 3, 2])
+    a = write_json(tmp_path / "a.json", "a", [8, 3, 2])
     first, second = tmp_path / "one.svg", tmp_path / "two.svg"
     assert main(["plot", a, "--guides", "-o", str(first)]) == 0
     assert main(["plot", a, "--guides", "-o", str(second)]) == 0
@@ -371,8 +328,8 @@ def test_plot_is_deterministic(tmp_path):
 
 
 def test_compare_ratio_row(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "w", synthesize_counts(200, 68, 737, 100), source="scholar")
-    b = _write_json(tmp_path / "b.json", "w", synthesize_counts(16, 12, 23, 11), source="wos")
+    a = write_json(tmp_path / "a.json", "w", synthesize_counts(200, 68, 737, 100), source="scholar")
+    b = write_json(tmp_path / "b.json", "w", synthesize_counts(16, 12, 23, 11), source="wos")
     assert main(["compare", a, b]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "source,r0,r,c_sigma,mean_per_work,mean_per_cited,h,i10"
@@ -384,8 +341,8 @@ def test_compare_ratio_row(tmp_path, capsys):
 
 
 def test_compare_prints_dash_for_undefined_cells(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "w", [4], source="s1")
-    b = _write_json(tmp_path / "b.json", "w", [0, 0], source="s2")
+    a = write_json(tmp_path / "a.json", "w", [4], source="s1")
+    b = write_json(tmp_path / "b.json", "w", [0, 0], source="s2")
     assert main(["compare", a, b]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[2].split(",")[5] == "-"  # mean per cited work undefined when r == 0
@@ -393,23 +350,23 @@ def test_compare_prints_dash_for_undefined_cells(tmp_path, capsys):
 
 
 def test_compare_identical_sources_all_ratios_one(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "w", [6, 2], source="s1")
-    b = _write_json(tmp_path / "b.json", "w", [6, 2], source="s2")
+    a = write_json(tmp_path / "a.json", "w", [6, 2], source="s1")
+    b = write_json(tmp_path / "b.json", "w", [6, 2], source="s2")
     assert main(["compare", a, b]) == 0
     ratio = capsys.readouterr().out.splitlines()[-1].split(",")
     assert ratio[1:4] == ["1.0", "1.0", "1.0"]
 
 
 def test_compare_needs_two_sources(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "w", [6, 2])
+    a = write_json(tmp_path / "a.json", "w", [6, 2])
     with pytest.raises(SystemExit) as excinfo:
         main(["compare", a])
     assert excinfo.value.code != 0
 
 
 def test_compare_markdown(tmp_path, capsys):
-    a = _write_json(tmp_path / "a.json", "w", [6, 2], source="s1")
-    b = _write_json(tmp_path / "b.json", "w", [5], source="s2")
+    a = write_json(tmp_path / "a.json", "w", [6, 2], source="s1")
+    b = write_json(tmp_path / "b.json", "w", [5], source="s2")
     assert main(["compare", a, b, "--format", "md"]) == 0
     assert capsys.readouterr().out.startswith("| source | r0 |")
 
@@ -433,8 +390,8 @@ _COMPARE_ROWS = [
 @pytest.mark.parametrize("fmt", ["csv", "md"])
 def test_compare_output_bytes_are_pinned(tmp_path, capsys, citations, cells, fmt):
     """Three sources, one of them without works or without cited works: '-' cells and '-' ratios."""
-    a = _write_json(tmp_path / "a.json", "ann", [12, 5, 3, 0], source="scholar")
-    b = _write_json(tmp_path / "b.json", "ann", citations, source="wos")
+    a = write_json(tmp_path / "a.json", "ann", [12, 5, 3, 0], source="scholar")
+    b = write_json(tmp_path / "b.json", "ann", citations, source="wos")
     c = tmp_path / "ann.csv"
     c.write_text("citations\n9\n9\n2\n", encoding="utf-8")
     assert main(["compare", a, b, str(c), "--format", fmt]) == 0
@@ -448,14 +405,14 @@ def test_compare_output_bytes_are_pinned(tmp_path, capsys, citations, cells, fmt
 
 
 def test_output_files_via_dash_o(tmp_path):
-    a = _write_json(tmp_path / "a.json", "a", [5, 1])
+    a = write_json(tmp_path / "a.json", "a", [5, 1])
     out_path = tmp_path / "report.csv"
     assert main(["compute", a, "--format", "csv", "-o", str(out_path)]) == 0
     assert out_path.read_text(encoding="utf-8").startswith("no,r0,")
 
 
 def test_compute_text_output_golden(tmp_path, capsys):
-    path = _write_json(tmp_path / "a.json", "a", [7, 1, 0], career_years=7)
+    path = write_json(tmp_path / "a.json", "a", [7, 1, 0], career_years=7)
     assert main(["compute", path]) == 0
     assert capsys.readouterr().out == (
         "author_id: a\nr0: 3\nr: 2\nc_sigma: 8\nc10: 8\nc_max: 7\nc_s: 4.0\nh: 1\ng: 1\n"
@@ -480,8 +437,8 @@ def test_compute_text_output_golden(tmp_path, capsys):
     ],
 )
 def test_merge_stdout_layout_golden(tmp_path, capsys, fmt, report):
-    a = _write_json(tmp_path / "a.json", "a", [7, 1, 0], career_years=7)
-    b = _write_json(tmp_path / "b.json", "b", [4, 4, 2])
+    a = write_json(tmp_path / "a.json", "a", [7, 1, 0], career_years=7)
+    b = write_json(tmp_path / "b.json", "b", [4, 4, 2])
     assert main(["merge", a, b, "--label", "ab", "--format", fmt]) == 0
     assert capsys.readouterr().out == '{"author_id": "ab", "citations": [7, 4, 4, 2, 1, 0]}\n\n' + report
 
@@ -576,7 +533,7 @@ def test_compute_rejects_unusable_input_with_one_diagnostic(tmp_path, capsys, na
 
 @pytest.mark.parametrize("name, text, message", _UNUSABLE_INPUTS)
 def test_table_keeps_good_rows_past_unusable_input(tmp_path, capsys, name, text, message):
-    _write_json(tmp_path / "good.json", "good", [4])
+    write_json(tmp_path / "good.json", "good", [4])
     (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["table", str(tmp_path)]) == 1
     captured = capsys.readouterr()
@@ -586,14 +543,14 @@ def test_table_keeps_good_rows_past_unusable_input(tmp_path, capsys, name, text,
 
 
 def test_compute_accepts_the_largest_supported_count(tmp_path, capsys):
-    path = _write_json(tmp_path / "top.json", "top", [2**53, 0])
+    path = write_json(tmp_path / "top.json", "top", [2**53, 0])
     assert main(["compute", path, "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith(f"top,2,1,{2**53},{2**53},{2**53},")
 
 
 def test_table_written_into_its_own_directory_is_not_read_back(tmp_path):
-    _write_json(tmp_path / "a.json", "a", [5, 1])
-    _write_json(tmp_path / "b.json", "b", [3, 3])
+    write_json(tmp_path / "a.json", "a", [5, 1])
+    write_json(tmp_path / "b.json", "b", [3, 3])
     out_path = tmp_path / "report.csv"
     outputs = []
     for _ in range(2):
@@ -606,25 +563,21 @@ def test_table_written_into_its_own_directory_is_not_read_back(tmp_path):
 def test_cli_import_loads_no_xml_or_network_modules():
     # -S keeps site-packages' .pth hooks, which may import these themselves, out of the child
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import citemetric.cli; "
+        "import sys, citemetric.cli; "
         "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'dataclasses', 'inspect')"
         " if m in sys.modules))"
     )
-    child = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(_SRC)], capture_output=True, text=True, encoding="utf-8", check=True
-    )
+    child = run_python("-S", "-c", code, encoding="utf-8", check=True)
     assert child.stdout == "[]\n"
 
 
 def test_the_package_loads_the_standard_library_only():
     # -S as above; __main__ is the child's own -c code
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import citemetric, citemetric.cli, citemetric.synth; "
+        "import sys, citemetric, citemetric.cli, citemetric.synth; "
         "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names - {'__main__'}))"
     )
-    child = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(_SRC)], capture_output=True, text=True, encoding="utf-8", check=True
-    )
+    child = run_python("-S", "-c", code, encoding="utf-8", check=True)
     assert child.stdout == "['citemetric']\n"
 
 
@@ -632,7 +585,7 @@ def test_merge_document_bytes_are_pinned(tmp_path):
     """The merged document of two 10^5-work Pareto profiles, hashed before write_profile wrote in blocks."""
     rng = random.Random(7)
     a, b = ([0 if rng.random() < 0.2 else int(2 * rng.paretovariate(1.1)) for _ in range(100_000)] for _ in "ab")
-    _write_json(tmp_path / "a.json", "a", a, career_years=12, source="scholar")
+    write_json(tmp_path / "a.json", "a", a, career_years=12, source="scholar")
     (tmp_path / "b.csv").write_text("citations\n" + "".join(f"{c}\n" for c in b), encoding="utf-8")
     out_path = tmp_path / "pooled.json"
     args = ["merge", str(tmp_path / "a.json"), str(tmp_path / "b.csv"), "--label", "pooled", "-o", str(out_path)]
@@ -654,12 +607,7 @@ def test_merge_document_bytes_are_pinned(tmp_path):
 def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args, out_name, expected):
     # the file name \xff.csv (and the label \xfe) reach the program as surrogateescape code points
     (tmp_path / "\udcff.csv").write_text("citations\n3\n1\n", encoding="utf-8")
-    child = subprocess.run(
-        [sys.executable, "-m", "citemetric.cli", *args],
-        cwd=tmp_path,
-        env=_child_env(),
-        capture_output=True,
-    )
+    child = run_cli(*args, cwd=tmp_path)
     assert child.returncode == 0, child.stderr
     output = (tmp_path / out_name).read_bytes() if out_name else child.stdout
     assert expected in output
@@ -670,12 +618,7 @@ def test_ids_from_non_utf8_names_are_written_back_as_their_bytes(tmp_path, args,
 @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
 def test_compute_reads_stdin_as_utf8_whatever_the_stdio_encoding(encoding):
     def compute(data):
-        return subprocess.run(
-            [sys.executable, "-m", "citemetric.cli", "compute", "-"],
-            input=data,
-            env=_child_env(encoding),
-            capture_output=True,
-        )
+        return run_cli("compute", "-", input=data, env=child_env(encoding))
 
     good = compute('{"author_id": "\u00e9", "citations": [1]}'.encode("utf-8"))
     assert good.returncode == 0, good.stderr
@@ -697,12 +640,7 @@ def test_compute_reads_stdin_as_utf8_whatever_the_stdio_encoding(encoding):
 def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args, byte):
     # a JSON document holding the bytes \xfe or \xff could not be read back by any command
     (tmp_path / "\udcff.csv").write_text("citations\n3\n1\n", encoding="utf-8")
-    child = subprocess.run(
-        [sys.executable, "-m", "citemetric.cli", *args],
-        cwd=tmp_path,
-        env=_child_env(),
-        capture_output=True,
-    )
+    child = run_cli(*args, cwd=tmp_path)
     assert child.returncode == 1
     assert child.stdout == b""
     assert child.stderr.startswith(b"error: author_id holds the byte " + byte + b" at position 0, which is not UTF-8")
@@ -731,7 +669,7 @@ def test_merge_rejects_an_id_that_utf8_cannot_encode(tmp_path, args, byte):
 )
 def test_unusable_label_fails_with_one_diagnostic(tmp_path, capsys, monkeypatch, args, message):
     for name in ("a", "b", "merged"):
-        _write_json(tmp_path / f"{name}.json", name, [3, 1])
+        write_json(tmp_path / f"{name}.json", name, [3, 1])
     monkeypatch.chdir(tmp_path)
     assert main([*args, "-o", "out"]) == 1
     captured = capsys.readouterr()
@@ -744,8 +682,8 @@ def test_unusable_label_fails_with_one_diagnostic(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command", ["table", "compare"])
 def test_markdown_cells_escape_pipes_and_line_breaks(tmp_path, capsys, command):
     paths = [
-        _write_json(tmp_path / "p.json", "a|b", [3, 1], source="a|b"),
-        _write_json(tmp_path / "q.json", "line\nbreak", [2], source="line\nbreak"),
+        write_json(tmp_path / "p.json", "a|b", [3, 1], source="a|b"),
+        write_json(tmp_path / "q.json", "line\nbreak", [2], source="line\nbreak"),
     ]
     args = ["table", str(tmp_path)] if command == "table" else ["compare", *paths]
     assert main([*args, "--format", "md"]) == 0
@@ -777,7 +715,7 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, nam
 
 
 def test_plot_of_an_id_with_a_control_character_is_well_formed(tmp_path):
-    a = _write_json(tmp_path / "a.json", "ctl\u0001", [3, 1])
+    a = write_json(tmp_path / "a.json", "ctl\u0001", [3, 1])
     out = tmp_path / "a.svg"
     assert main(["plot", a, "--guides", "-o", str(out)]) == 0
     root = ElementTree.fromstring(out.read_bytes())
@@ -798,7 +736,7 @@ def test_plot_of_an_id_with_a_control_character_is_well_formed(tmp_path):
 def test_commands_of_several_inputs_name_the_input_that_failed_to_load(
     tmp_path, capsys, monkeypatch, args, message
 ):
-    _write_json(tmp_path / "t.json", "t", [3, 1])
+    write_json(tmp_path / "t.json", "t", [3, 1])
     (tmp_path / "bad.csv").write_text("citations\n3\nx\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"{"), encoding="utf-8"))
@@ -825,7 +763,7 @@ def test_a_child_whose_stdout_fails_ends_in_one_error_line(tmp_path, args, sink)
     """Outputs this small sit in stdout's buffer, so the error comes on the flush, which must not repeat at exit."""
     if sink == "full-device" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
-    _write_json(tmp_path / "a.json", "a", [3, 1])
+    write_json(tmp_path / "a.json", "a", [3, 1])
     if sink == "closed-pipe":
         read_end, stdout = os.pipe()
         os.close(read_end)  # before the spawn, so every write to the pipe fails
@@ -833,15 +771,7 @@ def test_a_child_whose_stdout_fails_ends_in_one_error_line(tmp_path, args, sink)
         stdout = os.open("/dev/full", os.O_WRONLY)  # every write fails with ENOSPC
     try:
         # -X dev also reports an error that the flush at exit hits and ignores
-        child = subprocess.run(
-            [sys.executable, "-X", "dev", "-m", "citemetric.cli", *args],
-            cwd=tmp_path,
-            env=_child_env(),
-            stdout=stdout,
-            stderr=subprocess.PIPE,
-            encoding="utf-8",
-            timeout=60,
-        )
+        child = run_cli(*args, flags=("-X", "dev"), cwd=tmp_path, stdout=stdout, encoding="utf-8")
     finally:
         os.close(stdout)
     line = "error: [Errno 32] Broken pipe\n" if sink == "closed-pipe" else "error: [Errno 28] No space left on device\n"

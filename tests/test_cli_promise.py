@@ -5,22 +5,24 @@ the ``-o`` target can be written, each of the five subcommands ends in
 either its output or ``error:`` lines on stderr, never a traceback, and
 it exits 1 exactly when it wrote an error line.  ``table`` goes on past
 a bad file: one error line per bad file, one row per good one, and one
-more error line when its table cannot be written.
+more error line when its table cannot be written.  ``table``, ``merge``,
+``plot`` and ``compare`` write the same bytes and exit with the same code
+whether a forked child loads half of their inputs or not.
 """
 
-import contextlib
 import csv
 import io
 import json
+import os
+import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citemetric.cli import main
+from harness import TWO_PROCESSES, run_main
 
 _GOOD_COUNT = st.one_of(st.integers(0, 40), st.sampled_from([2**53 - 1, 2**53]))  # 2**53 is the largest taken
 _COUNT = st.one_of(_GOOD_COUNT, st.sampled_from([2**53 + 1, -1]))
@@ -84,22 +86,18 @@ def _file(draw):
     return fmt, data
 
 
-def _run(args, stdin=b""):
-    """``main`` in process, with ``stdin`` as its standard input: exit code, stdout bytes and stderr text."""
-    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # with .buffer, as the CLI writes bytes
-    stderr = io.StringIO()
-    with (
-        mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")),
-        contextlib.redirect_stdout(stdout),
-        contextlib.redirect_stderr(stderr),
-    ):
-        code = main(args)
-    output = stdout.buffer.getvalue()
-    stdout.close()
-    return code, output, stderr.getvalue()
+def _write(directory, files):
+    """The paths of the drawn files, written into ``directory``."""
+    paths = []
+    for i, (fmt, data) in enumerate(files):
+        path = Path(directory, f"p{i}.{fmt}")
+        path.write_bytes(data)
+        paths.append(str(path))
+    return paths
 
 
 def _error_lines(err):
+    err = err.decode("utf-8")
     assert err == "" or err.endswith("\n")
     lines = err.split("\n")[:-1]
     assert all(line.startswith("error:") for line in lines), err
@@ -128,11 +126,7 @@ def _args(command, directory, paths, flag):
 )
 def test_any_file_bytes_end_in_output_or_error_lines_and_the_exit_code_says_which(command, files, flag, stdin, output):
     with tempfile.TemporaryDirectory() as directory:
-        paths = []
-        for i, (fmt, data) in enumerate(files):
-            path = Path(directory, f"p{i}.{fmt}")
-            path.write_bytes(data)
-            paths.append(str(path))
+        paths = _write(directory, files)
         args = _args(command, directory, paths, flag)
         piped = b""
         if stdin is not None and command != "table":  # table reads a directory
@@ -140,14 +134,14 @@ def test_any_file_bytes_end_in_output_or_error_lines_and_the_exit_code_says_whic
             args[args.index(paths[at])], piped = "-", files[at][1]
         if output is not None:
             args += ["-o", str(Path(directory, "missing", "out")) if output == "missing" else directory]
-        code, out, err = _run(args, piped)
+        code, out, err, _ = run_main(args, stdin=piped)
         lines = _error_lines(err)
         assert code == (1 if lines else 0)
         if output is not None:
             assert lines and out == b""
         if command != "table":
             return
-        bad = [path for path in paths if _run(["compute", path])[0] == 1]
+        bad = [path for path in paths if run_main(["compute", path])[0] == 1]
         good = len(paths) - len(bad)
         assert sorted(line.split(": ")[1] for line in lines[: len(bad)]) == sorted(bad)
         if good and output is not None:
@@ -159,3 +153,17 @@ def test_any_file_bytes_end_in_output_or_error_lines_and_the_exit_code_says_whic
         else:
             assert lines[len(bad) :] == [f"error: no readable profiles in {directory}"]
             assert out == b""
+
+
+@pytest.mark.skipif(not TWO_PROCESSES, reason="inputs load in two processes only here")
+@pytest.mark.parametrize("command", ["table", "merge", "plot", "compare"])
+@settings(max_examples=50, deadline=None)
+@given(files=st.lists(_file(), min_size=2, max_size=5), flag=st.booleans())
+def test_any_file_bytes_give_the_same_exit_code_and_bytes_in_two_processes_as_in_one(command, files, flag):
+    # at thresholds of 0, any two files or entries load in two processes; at no limit, in one
+    with tempfile.TemporaryDirectory() as directory:
+        args = _args(command, directory, _write(directory, files), flag)
+        two, one = (run_main(args, limit=limit, out=Path(directory, "out")) for limit in (0, sys.maxsize))
+        assert two == one
+        with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)

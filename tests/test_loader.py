@@ -12,26 +12,23 @@ left, running or unreaped.
 
 import errno
 import importlib
-import io
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import threading
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from citemetric import cli, loader
-from citemetric.cli import main
 from citemetric.ingest import ProfileDocument
-from test_cli import _child_env, _write_json
+from harness import TWO_PROCESSES, run_cli, run_main, write_json
 
 NO_LIMIT = sys.maxsize
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork") or _CPUS < 2, reason="inputs load in two processes only here")
+pytestmark = pytest.mark.skipif(not TWO_PROCESSES, reason="inputs load in two processes only here")
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 _BAD_CSV = "citations\n3\nx\n"  # fails on line 3
@@ -61,22 +58,9 @@ def forks(monkeypatch):
 
 
 def _inputs(directory):
-    _write_json(directory / "a.json", "a", [9, 4, 4, 1, 0], source="scholar")
+    write_json(directory / "a.json", "a", [9, 4, 4, 1, 0], source="scholar")
     (directory / "b.csv").write_text("citations\n7\n0\n3\n12\n", encoding="utf-8")
-    _write_json(directory / "c.json", "c", [30, 2, 2, 2], career_years=4)
-
-
-def _run(monkeypatch, capsysbinary, limit, args, out):
-    """Exit code, stdout, stderr and the -o file's bytes of one in-process run."""
-    monkeypatch.setattr(cli, "_TWO_PROCESS_BYTES", limit)
-    monkeypatch.setattr(cli, "_TWO_PROCESS_FILES", limit)
-    stdin = io.TextIOWrapper(io.BytesIO(b'{"author_id": "s", "citations": [5, 5]}'), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", stdin)
-    code = main([*args, "-o", str(out)])
-    captured = capsysbinary.readouterr()
-    data = out.read_bytes() if out.exists() else None
-    out.unlink(missing_ok=True)
-    return code, captured.out, captured.err, data
+    write_json(directory / "c.json", "c", [30, 2, 2, 2], career_years=4)
 
 
 @pytest.mark.parametrize(
@@ -91,12 +75,13 @@ def _run(monkeypatch, capsysbinary, limit, args, out):
         pytest.param(("plot", "a.json"), 0, id="one-input"),
     ],
 )
-def test_two_processes_write_the_bytes_of_one(tmp_path, monkeypatch, capsysbinary, forks, args, forked):
+def test_two_processes_write_the_bytes_of_one(tmp_path, monkeypatch, forks, args, forked):
     _inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     runs = {}
     for limit in (0, NO_LIMIT):
-        runs[limit] = _run(monkeypatch, capsysbinary, limit, args, tmp_path / "out")
+        stdin = b'{"author_id": "s", "citations": [5, 5]}'
+        runs[limit] = run_main(args, stdin=stdin, limit=limit, out=tmp_path / "out")
         assert len(forks) == (forked if limit == 0 else 0)
         forks.clear()
     assert runs[0] == runs[NO_LIMIT]
@@ -105,7 +90,7 @@ def test_two_processes_write_the_bytes_of_one(tmp_path, monkeypatch, capsysbinar
 
 @pytest.mark.parametrize("command", ["merge", "plot", "compare"])
 @pytest.mark.parametrize("bad", [{0}, {1}, {2}, {0, 2}, {1, 2}], ids=lambda bad: "bad" + "".join(map(str, sorted(bad))))
-def test_a_failing_input_in_either_half_gives_the_one_process_error(tmp_path, monkeypatch, capsysbinary, command, bad):
+def test_a_failing_input_in_either_half_gives_the_one_process_error(tmp_path, monkeypatch, command, bad):
     # three inputs: this process loads the first, the child the second and third
     _inputs(tmp_path)
     names = ["a.json", "b.csv", "c.json"]
@@ -113,7 +98,7 @@ def test_a_failing_input_in_either_half_gives_the_one_process_error(tmp_path, mo
         names[i] = f"bad{i}.csv"
         (tmp_path / names[i]).write_text(_BAD_CSV, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    runs = [_run(monkeypatch, capsysbinary, limit, (command, *names), tmp_path / "out") for limit in (0, NO_LIMIT)]
+    runs = [run_main((command, *names), limit=limit, out=tmp_path / "out") for limit in (0, NO_LIMIT)]
     assert runs[0] == runs[1] == (1, b"", f"error: bad{min(bad)}.csv: line 3: not an integer: 'x'\n".encode(), None)
 
 
@@ -125,7 +110,7 @@ def _cut_short(monkeypatch):
 
 
 @pytest.mark.parametrize("end", ["killed", "cut-short"])
-def test_a_child_that_ends_without_its_whole_payload_is_recovered(tmp_path, monkeypatch, capsysbinary, forks, end):
+def test_a_child_that_ends_without_its_whole_payload_is_recovered(tmp_path, monkeypatch, forks, end):
     _inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     parent = os.getpid()
@@ -141,9 +126,9 @@ def test_a_child_that_ends_without_its_whole_payload_is_recovered(tmp_path, monk
     else:
         _cut_short(monkeypatch)
     args = ("merge", "a.json", "b.csv", "c.json", "--include-kh")
-    recovered = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
+    recovered = run_main(args, limit=0, out=tmp_path / "out")
     assert len(forks) == 1
-    assert recovered == _run(monkeypatch, capsysbinary, NO_LIMIT, args, tmp_path / "out")
+    assert recovered == run_main(args, limit=NO_LIMIT, out=tmp_path / "out")
     assert recovered[0] == 0
 
 
@@ -151,58 +136,39 @@ def test_a_fifo_named_after_a_failing_input_is_never_waited_on(tmp_path):
     _inputs(tmp_path)
     (tmp_path / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")
     os.mkfifo(tmp_path / "fifo.json")  # opening it would wait for a writer
-    run = "import sys; from citemetric import cli; cli._TWO_PROCESS_BYTES = 0; sys.exit(cli.main(sys.argv[1:]))"
     # in a child process, so that a load that blocks on the FIFO fails the test instead of hanging it
-    child = subprocess.run(
-        [sys.executable, "-c", run, "merge", "a.json", "bad.csv", "fifo.json"],
-        cwd=tmp_path,
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    child = run_cli("merge", "a.json", "bad.csv", "fifo.json", limit=0, cwd=tmp_path, encoding="utf-8")
     assert (child.returncode, child.stdout, child.stderr) == (1, "", "error: bad.csv: line 3: not an integer: 'x'\n")
 
 
 def test_a_child_still_loading_when_the_first_half_fails_is_stopped(tmp_path):
     _inputs(tmp_path)
     (tmp_path / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")
-    run = """if True:
-        import os, sys, time
-        from citemetric import cli
-        cli._TWO_PROCESS_BYTES = 0
+    hang_in_the_child = """
+        import os, time
         parent, load = os.getpid(), cli._load_document
         def load_or_hang(path):
             if os.getpid() != parent:
-                time.sleep(120)  # past the timeout below, and not much longer
+                time.sleep(120)  # past the child's timeout, and not much longer
             return load(path)
         cli._load_document = load_or_hang
-        sys.exit(cli.main(sys.argv[1:]))
     """
     # in a child process, so that a CLI that waits for its loader fails the test instead of hanging it
-    child = subprocess.run(
-        [sys.executable, "-c", run, "merge", "bad.csv", "a.json"],
-        cwd=tmp_path,
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    child = run_cli("merge", "bad.csv", "a.json", limit=0, setup=hang_in_the_child, cwd=tmp_path, encoding="utf-8")
     assert (child.returncode, child.stdout, child.stderr) == (1, "", "error: bad.csv: line 3: not an integer: 'x'\n")
 
 
-# Lowers its own descriptor limit to one above those it has open, so that a pipe, which
+# Lowers the child's descriptor limit to one above those it has open, so that a pipe, which
 # needs two, fails while each file still opens; exits with a message if a pipe opens.
-_MERGE_OUT_OF_DESCRIPTORS = """if True:
-    import os, resource, sys
-    from citemetric import cli
-    cli._TWO_PROCESS_BYTES = int(sys.argv[1])
-    open_now = len(os.listdir("/proc/self/fd")) - 1  # less the one that lists them
-    resource.setrlimit(resource.RLIMIT_NOFILE, (open_now + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
-    try:
-        os.pipe()
-    except OSError:
-        sys.exit(cli.main(sys.argv[2:]))
+_NO_PIPE = """
+import os, resource
+open_now = len(os.listdir("/proc/self/fd")) - 1  # less the one that lists them
+resource.setrlimit(resource.RLIMIT_NOFILE, (open_now + 1, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+try:
+    os.pipe()
+except OSError:
+    pass
+else:
     sys.exit("a pipe still opens")
 """
 
@@ -211,17 +177,8 @@ _MERGE_OUT_OF_DESCRIPTORS = """if True:
 def test_a_merge_with_no_descriptor_for_a_pipe_loads_in_one_process(tmp_path):
     pytest.importorskip("resource")
     _inputs(tmp_path)
-    runs = [
-        subprocess.run(
-            [sys.executable, "-c", _MERGE_OUT_OF_DESCRIPTORS, str(limit), "merge", "a.json", "b.csv", "-o", "out.json"],
-            cwd=tmp_path,
-            env=_child_env(),
-            capture_output=True,
-            encoding="utf-8",
-            timeout=60,
-        )
-        for limit in (0, NO_LIMIT)
-    ]
+    args = ("merge", "a.json", "b.csv", "-o", "out.json")
+    runs = [run_cli(*args, limit=limit, setup=_NO_PIPE, cwd=tmp_path, encoding="utf-8") for limit in (0, NO_LIMIT)]
     assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(0, runs[1].stdout, "")] * 2
 
 
@@ -258,17 +215,17 @@ def test_a_traced_run_loads_every_input_in_its_own_process(tmp_path, monkeypatch
     assert cli._child_half(["a.json", "b.csv", "c.json"]) == 1  # the names are bound again as at import
 
 
+# The child exits 1 if the command, once it has run, left the loader or pickle imported.
+_THEN_LOADER_UNIMPORTED = """
+main = cli.main
+cli.main = lambda args: main(args) or "citemetric.loader" in sys.modules or "pickle" in sys.modules
+"""
+
+
 def test_a_load_in_one_process_leaves_the_loader_unimported(tmp_path):
     _inputs(tmp_path)
-    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules or 'pickle' in sys.modules)"
-    child = subprocess.run(
-        [sys.executable, "-c", run, "merge", "a.json", "b.csv", "-o", "out.json"],
-        cwd=tmp_path,
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    args = ("merge", "a.json", "b.csv", "-o", "out.json")
+    child = run_cli(*args, setup=_THEN_LOADER_UNIMPORTED, cwd=tmp_path, encoding="utf-8")
     assert (child.returncode, child.stderr) == (0, "")
 
 
@@ -276,7 +233,7 @@ def _table_corpus(directory):
     """Seven profiles, two of them author "a"'s: a.json in the first half of the listing, a.csv in the second."""
     directory.mkdir()
     _inputs(directory)
-    _write_json(directory / "d.json", "d", [30, 1], career_years=2)  # ties c.json on c_max
+    write_json(directory / "d.json", "d", [30, 1], career_years=2)  # ties c.json on c_max
     (directory / "a.csv").write_text("citations\n9\n0\n", encoding="utf-8")  # ties a.json on c_max and id
     (directory / "e.csv").write_text("citations\n", encoding="utf-8")  # no works
     (directory / "f.csv").write_text("\ufeffcitations\r\n5\r\n5\r\n", encoding="utf-8")
@@ -287,14 +244,14 @@ def _table_corpus(directory):
 @pytest.mark.parametrize(
     "extra", [(), ("--with-total", "--include-kh"), ("--format", "md"), ("--format", "md", "--with-total")]
 )
-def test_a_table_in_two_processes_writes_the_bytes_of_one(tmp_path, monkeypatch, capsysbinary, forks, extra, out):
+def test_a_table_in_two_processes_writes_the_bytes_of_one(tmp_path, monkeypatch, forks, extra, out):
     _table_corpus(tmp_path / "corpus")
     monkeypatch.chdir(tmp_path)
     runs = {}
     for limit in (0, NO_LIMIT):
         if out.startswith("corpus/"):  # a table from an earlier run, which the scan leaves out
             (tmp_path / out).write_text("no,r0\nstale,1\n", encoding="utf-8")
-        runs[limit] = _run(monkeypatch, capsysbinary, limit, ("table", "corpus", *extra), tmp_path / out)
+        runs[limit] = run_main(("table", "corpus", *extra), limit=limit, out=tmp_path / out)
         assert len(forks) == (1 if limit == 0 else 0)
         forks.clear()
     assert runs[0] == runs[NO_LIMIT]
@@ -319,46 +276,39 @@ def _bad_entry(directory, kind, name):
         os.mkfifo(path)  # opening it would wait for a writer
 
 
-# The CLI under -W error, pinned first to one CPU if argv[1] is "pinned", as `taskset -c 0`
-# would pin it, and with both thresholds at argv[2] unless it is "-".  It counts its forks
-# into the file argv[3], apart from the command's own output, and fails if a child is left.
-_CLI_IN_A_CHILD = """if True:
-    import os, sys
-    pinned, limit, forks_file, *args = sys.argv[1:]
-    if pinned == "pinned":
-        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
-    from citemetric import cli
-    if limit != "-":
-        cli._TWO_PROCESS_BYTES = cli._TWO_PROCESS_FILES = int(limit)
-    fork, forks = os.fork, []
-    os.fork = lambda: forks.append(fork()) or forks[-1]
-    code = cli.main(args)
+# Pins the child to one CPU, as `taskset -c 0` would pin it.
+_PINNED = "import os; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])\n"
+
+# Counts the child's forks into the file child.forks, apart from the command's own
+# output, once the command has run, and fails if a child is left.
+_FORKS_COUNTED = """
+import os
+fork, forks, main = os.fork, [], cli.main
+os.fork = lambda: forks.append(fork()) or forks[-1]
+def main_then_count(args):
+    code = main(args)
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        with open(forks_file, "w", encoding="ascii") as counted:
+        with open("child.forks", "w", encoding="ascii") as counted:
             counted.write(str(len(forks)))
-        sys.exit(code)
+        return code
     sys.exit("a child was left")
+cli.main = main_then_count
 """
 
 
 def _cli_in_a_child(cwd, args, limit=None, pinned=False):
     """The forks made, and the exit code, stdout, stderr and -o file's bytes, of the CLI run in a child process.
 
-    In a child process, so that a command that opens a FIFO fails the test
-    instead of hanging it, and so that it may be pinned to one CPU.  ``limit``
-    sets both thresholds; by default they are the program's own.
+    In a child process under -W error, so that a command that opens a FIFO
+    fails the test instead of hanging it, and so that it may be pinned to one
+    CPU.  ``limit`` sets both thresholds; by default they are the program's own.
     """
     out, forks = cwd / "child.out", cwd / "child.forks"
-    child = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _CLI_IN_A_CHILD, "pinned" if pinned else "free",
-         "-" if limit is None else str(limit), forks.name, *args, "-o", out.name],
-        cwd=cwd,
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=120,
+    setup = (_PINNED if pinned else "") + _FORKS_COUNTED
+    child = run_cli(
+        *args, "-o", out.name, setup=setup, limit=limit, flags=("-W", "error"), cwd=cwd, encoding="utf-8", timeout=120
     )
     data = out.read_bytes() if out.exists() else None
     counted = int(forks.read_text(encoding="ascii")) if forks.exists() else None
@@ -381,7 +331,7 @@ def test_a_failing_entry_in_either_half_of_a_table_gives_the_one_process_error(t
     json_files = 1 if half == "first" else 7
     for i in range(8):
         if i < json_files:
-            _write_json(directory / f"m{i}.json", f"m{i}", [i + 3, 1])
+            write_json(directory / f"m{i}.json", f"m{i}", [i + 3, 1])
         else:
             (directory / f"m{i}.csv").write_text(f"citations\n{i + 3}\n1\n", encoding="utf-8")
     name = f"{'a' if half == 'first' else 'z'}_bad.{ext}"
@@ -417,7 +367,7 @@ def _profile_over(path, size):
     if path.suffix == ".csv":
         path.write_text("citations\n" + "".join(f"{count}\n" for count in counts), encoding="utf-8")
     else:
-        _write_json(path, path.stem, counts[: size // 4 + 1])
+        write_json(path, path.stem, counts[: size // 4 + 1])
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
@@ -436,7 +386,7 @@ def test_past_the_thresholds_a_command_forks_once_and_pinned_to_one_cpu_never_wi
     if args[0] == "table":
         (tmp_path / "corpus").mkdir()
         for i in range(2 * cli._TWO_PROCESS_FILES):
-            _write_json(tmp_path / "corpus" / f"a{i:04d}.json", f"a{i:04d}", [i % 50 + 1, i % 7, 1])
+            write_json(tmp_path / "corpus" / f"a{i:04d}.json", f"a{i:04d}", [i % 50 + 1, i % 7, 1])
         (tmp_path / "corpus" / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")  # listed last, in the child's half
     else:
         _profile_over(tmp_path / "a.json", cli._TWO_PROCESS_BYTES)
@@ -452,7 +402,7 @@ def test_past_the_thresholds_a_command_forks_once_and_pinned_to_one_cpu_never_wi
         assert (code, stderr) == (0, "") and data
 
 
-def test_a_second_live_thread_keeps_every_input_in_this_process(tmp_path, monkeypatch, capsysbinary, forks):
+def test_a_second_live_thread_keeps_every_input_in_this_process(tmp_path, monkeypatch, forks):
     # a fork copies the calling thread alone
     _table_corpus(tmp_path / "corpus")
     monkeypatch.chdir(tmp_path)
@@ -463,7 +413,7 @@ def test_a_second_live_thread_keeps_every_input_in_this_process(tmp_path, monkey
     waiting.start()
     try:
         split = cli._child_half(paths)
-        code = _run(monkeypatch, capsysbinary, 0, ("table", "corpus"), tmp_path / "out")[0]
+        code = run_main(("table", "corpus"), limit=0, out=tmp_path / "out")[0]
     finally:
         release.set()
         waiting.join(timeout=60)
@@ -473,25 +423,25 @@ def test_a_second_live_thread_keeps_every_input_in_this_process(tmp_path, monkey
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts its open descriptors in /proc/self/fd")
-def test_a_failing_fork_leaves_both_halves_to_this_process(tmp_path, monkeypatch, capsysbinary):
+def test_a_failing_fork_leaves_both_halves_to_this_process(tmp_path, monkeypatch):
     _inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     args = ("merge", "a.json", "b.csv", "c.json", "--include-kh")
-    one = _run(monkeypatch, capsysbinary, NO_LIMIT, args, tmp_path / "out")
+    one = run_main(args, limit=NO_LIMIT, out=tmp_path / "out")
 
     def out_of_processes():
         raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", out_of_processes)
     open_before = os.listdir("/proc/self/fd")
-    two = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
+    two = run_main(args, limit=0, out=tmp_path / "out")
     assert os.listdir("/proc/self/fd") == open_before
     assert two == one and two[0] == 0
 
 
 @pytest.mark.parametrize("step", ["build", "report"])
 def test_a_profile_that_runs_out_of_memory_in_a_table_costs_only_its_own_row(
-    tmp_path, monkeypatch, capsysbinary, forks, step
+    tmp_path, monkeypatch, forks, step
 ):
     # c.json is in this process's half of the listing, b.csv and bad.csv in the child's
     _table_corpus(tmp_path / "corpus")
@@ -509,7 +459,7 @@ def test_a_profile_that_runs_out_of_memory_in_a_table_costs_only_its_own_row(
     args = ("table", "corpus", "--with-total")
     runs = {}
     for limit in (0, NO_LIMIT):
-        runs[limit] = _run(monkeypatch, capsysbinary, limit, args, tmp_path / "out")
+        runs[limit] = run_main(args, limit=limit, out=tmp_path / "out")
         assert len(forks) == (1 if limit == 0 else 0)
         forks.clear()
     assert runs[0] == runs[NO_LIMIT]
@@ -527,7 +477,7 @@ def test_a_profile_that_runs_out_of_memory_in_a_table_costs_only_its_own_row(
 
 @pytest.mark.parametrize("end", ["killed", "cut-short"])
 def test_a_table_child_that_ends_without_its_whole_payload_is_recovered(
-    tmp_path, monkeypatch, capsysbinary, forks, end
+    tmp_path, monkeypatch, forks, end
 ):
     _table_corpus(tmp_path / "corpus")
     (tmp_path / "corpus" / "bad.csv").write_text(_BAD_CSV, encoding="utf-8")  # in the child's half
@@ -545,9 +495,9 @@ def test_a_table_child_that_ends_without_its_whole_payload_is_recovered(
     else:
         _cut_short(monkeypatch)
     args = ("table", "corpus", "--with-total", "--include-kh")
-    recovered = _run(monkeypatch, capsysbinary, 0, args, tmp_path / "out")
+    recovered = run_main(args, limit=0, out=tmp_path / "out")
     assert len(forks) == 1
-    assert recovered == _run(monkeypatch, capsysbinary, NO_LIMIT, args, tmp_path / "out")
+    assert recovered == run_main(args, limit=NO_LIMIT, out=tmp_path / "out")
     assert recovered[:3] == (1, b"", f"error: {Path('corpus', 'bad.csv')}: line 3: not an integer: 'x'\n".encode())
 
 
@@ -562,7 +512,7 @@ def test_a_table_child_that_ends_without_its_whole_payload_is_recovered(
         pytest.param(("table", "corpus"), b"\nz\xff,3,3,%d," % (2**54 + 2), id="table"),
     ],
 )
-def test_the_child_half_comes_back_whole(tmp_path, monkeypatch, capsysbinary, forks, args, shown):
+def test_the_child_half_comes_back_whole(tmp_path, monkeypatch, forks, args, shown):
     # z\xff.csv, in the child's half, gives an author id with a surrogate (a merged document
     # could not hold it, so merge takes a label), and counts whose sum passes 2**53:
     # c_sigma is an int that no float holds, and c_s a rounded float
@@ -571,7 +521,7 @@ def test_the_child_half_comes_back_whole(tmp_path, monkeypatch, capsysbinary, fo
     monkeypatch.chdir(tmp_path)
     runs = {}
     for limit in (0, NO_LIMIT):
-        runs[limit] = _run(monkeypatch, capsysbinary, limit, (*args, "--include-kh"), tmp_path / "out")
+        runs[limit] = run_main((*args, "--include-kh"), limit=limit, out=tmp_path / "out")
         assert len(forks) == (1 if limit == 0 else 0)
         forks.clear()
     assert runs[0] == runs[NO_LIMIT]
@@ -582,16 +532,25 @@ def test_the_child_half_comes_back_whole(tmp_path, monkeypatch, capsysbinary, fo
 
 def test_a_table_below_the_threshold_leaves_the_loader_unimported(tmp_path):
     _table_corpus(tmp_path / "corpus")  # seven entries, below the threshold
-    run = "import sys; from citemetric import cli; code = cli.main(sys.argv[1:]); sys.exit(code or 'citemetric.loader' in sys.modules or 'pickle' in sys.modules)"
-    child = subprocess.run(
-        [sys.executable, "-c", run, "table", "corpus", "--with-total", "-o", "out.csv"],
-        cwd=tmp_path,
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    args = ("table", "corpus", "--with-total", "-o", "out.csv")
+    child = run_cli(*args, setup=_THEN_LOADER_UNIMPORTED, cwd=tmp_path, encoding="utf-8")
     assert (child.returncode, child.stderr) == (0, "")
+
+
+def test_a_table_below_the_threshold_lists_its_directory_once(tmp_path, monkeypatch, forks):
+    # in one process, forked or not, so one listing serves the count that decides and the files read
+    _table_corpus(tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    listings, scandir = [], os.scandir
+    monkeypatch.setattr(os, "scandir", lambda path: listings.append(path) or scandir(path))
+    runs = []
+    for may_fork in (True, False):  # False: as when traced, on one CPU or beside another thread
+        with mock.patch.object(cli, "_may_fork", return_value=may_fork):
+            runs.append(run_main(("table", "corpus", "--with-total"), out=tmp_path / "out"))
+        assert len(listings) == 1
+        listings.clear()
+    assert runs[0] == runs[1]
+    assert (runs[0][0], runs[0][2], forks) == (0, b"", [])
 
 
 def test_a_traced_table_reads_every_file_in_its_own_process(tmp_path, monkeypatch, forks):

@@ -7,26 +7,22 @@ limits changes.
 """
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from test_cli import _child_env, _write_json
+from harness import run_cli, write_json
 
 resource = pytest.importorskip("resource")
 pytestmark = pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm for the baseline")
 
 HEADROOM = 48 << 20  # bytes the child may map beyond its baseline; the large profile needs about 70 MB more
 _CAPPED = """
-import resource, sys
-from citemetric import cli
-cli._TWO_PROCESS_BYTES = cli._TWO_PROCESS_FILES = int(sys.argv[1])
+import resource
 with open("/proc/self/statm", encoding="ascii") as statm:
     baseline = int(statm.read().split()[0]) * resource.getpagesize()
 resource.setrlimit(resource.RLIMIT_AS, (baseline + {headroom}, resource.getrlimit(resource.RLIMIT_AS)[1]))
-sys.exit(cli.main(sys.argv[2:]))
 """.format(headroom=HEADROOM)
 
 
@@ -36,19 +32,12 @@ def inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("memory")
     citations = range(10**9, 10**9 + 10**6)  # ints above the small-int cache, 32 bytes each once parsed
     (directory / "big.json").write_text(json.dumps({"author_id": "big", "citations": list(citations)}), encoding="utf-8")
-    _write_json(directory / "small.json", "small", [5, 3, 1])
+    write_json(directory / "small.json", "small", [5, 3, 1])
     return directory
 
 
 def _capped(directory, limit, *args):
-    child = subprocess.run(
-        [sys.executable, "-c", _CAPPED, str(limit), *args],
-        cwd=directory,
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=120,
-    )
+    child = run_cli(*args, setup=_CAPPED, limit=limit, cwd=directory, encoding="utf-8", timeout=120)
     return child.returncode, child.stdout, child.stderr
 
 

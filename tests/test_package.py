@@ -1,15 +1,11 @@
 """The package's exports, resolved on first access, and the modules each command loads."""
 
 import importlib
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import citemetric
-
-_SRC = Path(__file__).resolve().parents[1] / "src"
+from harness import run_python
 
 _EXPORTS = [
     "CitemetricError", "DomainError", "EmptyProfileError", "MissingFieldError", "ParseError", "ProfileDocument",
@@ -25,8 +21,7 @@ def _child(code, *args):
 
     -S keeps site-packages' .pth hooks, which may import modules themselves, out of the child.
     """
-    argv = [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + code, str(_SRC), *args]
-    return subprocess.run(argv, capture_output=True, text=True, encoding="utf-8", check=True).stdout
+    return run_python("-S", "-c", "import sys; " + code, *args, encoding="utf-8", check=True).stdout
 
 
 def test_each_export_is_the_object_of_its_home_module():
@@ -84,7 +79,7 @@ def test_a_command_loads_render_only_to_plot(tmp_path, args, loaded):
     (tmp_path / "b.csv").write_text("citations\n5\n1\n", encoding="utf-8")
     names = {"a": tmp_path / "a.json", "b": tmp_path / "b.csv", "directory": tmp_path}
     argv = [arg.format(**names) for arg in args] + ["-o", str(tmp_path / "out")]
-    code = "from citemetric import cli; code = cli.main(sys.argv[2:]); " + _LOADED.replace("print(", "print(code, ")
+    code = "from citemetric import cli; code = cli.main(sys.argv[1:]); " + _LOADED.replace("print(", "print(code, ")
     assert _child(code, *argv).splitlines()[-1] == f"0 {loaded}"  # after merge's report, which -o leaves on stdout
     if args[0] == "compute":
         assert "c_s: 2.3\n" in (tmp_path / "out").read_text(encoding="utf-8")

@@ -4,13 +4,11 @@ So the Library section cannot name a removed helper, or show a call that fails.
 """
 
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from test_cli import _child_env
+from harness import run_python
 
 _BLOCKS = re.findall(
     r"^```python\n(.*?)^```$",
@@ -25,11 +23,5 @@ def test_the_readme_has_python_blocks():
 
 @pytest.mark.parametrize("block", _BLOCKS, ids=[f"block-{i}" for i in range(len(_BLOCKS))])
 def test_a_readme_python_block_runs_without_a_warning(block):
-    child = subprocess.run(
-        [sys.executable, "-W", "error", "-c", block],
-        env=_child_env(),
-        capture_output=True,
-        encoding="utf-8",
-        timeout=60,
-    )
+    child = run_python("-W", "error", "-c", block, encoding="utf-8")
     assert (child.returncode, child.stderr) == (0, "")
