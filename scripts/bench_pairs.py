@@ -55,6 +55,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10  # fewer pairs never make a gain
 
 
+def pair_count(text: str) -> int:
+    """``--pairs``: at least one, as fewer pairs measure nothing; argparse reports a ValueError as a usage error."""
+    pairs = int(text)
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {pairs}")
+    return pairs
+
+
 def extract(revision: str) -> Path:
     """A fresh temporary directory holding the files of ``revision``."""
     directory = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
@@ -166,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", help="the revision to compare against, such as the parent commit")
     parser.add_argument("change", help="the revision under test")
     parser.add_argument("--workload", required=True, help="one workload named in BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--pairs", type=pair_count, default=MIN_PAIRS)
     parser.add_argument("--trace", action="store_true", help="pair the per-layer metrics of traced runs instead")
     args = parser.parse_args(argv)
 

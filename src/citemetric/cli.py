@@ -164,74 +164,59 @@ def cmd_compute(args: argparse.Namespace) -> int:
 _TWO_PROCESS_FILES = 240
 
 
-_Row = tuple[CitationProfile, IndexReport]
+def _tabulate(
+    documents: Sequence[ProfileDocument], failures: Sequence[ScanFailure]
+) -> tuple[list[ScanFailure], list[str], list[IndexReport], list[CitationProfile]]:
+    """The failures, the author ids of the documents that ran out of memory, and each other one's report and profile.
 
-
-def _build_and_report(documents: Sequence[ProfileDocument]) -> tuple[list[str], list[_Row]]:
-    """The author ids of the documents that ran out of memory, and each other document's profile and report.
-
-    Every profile is built before the first is reported.  A document carries
-    no path, so a profile that runs out is named by its author id.
+    Each document is built and reported before the next is built.  A document
+    carries no path, so a profile that runs out is named by its author id.
     """
     lost: list[str] = []
+    reports: list[IndexReport] = []
     profiles: list[CitationProfile] = []
     for document in documents:
         try:
-            profiles.append(document.to_profile())
+            profile = document.to_profile()
+            reports.append(compute_report(profile))
+            profiles.append(profile)
             continue
         except MemoryError:
-            pass  # leaving the handler lets go of what the failed build held
+            pass  # leaving the handler lets go of what the failed build or report held
         lost.append(document.author_id)
-    rows: list[_Row] = []
-    for profile in profiles:
-        try:
-            rows.append((profile, compute_report(profile)))
-            continue
-        except MemoryError:
-            pass
-        lost.append(profile.author_id)
-    return lost, rows
+    return list(failures), lost, reports, profiles
 
 
-def _tabulate(entries: Sequence[tuple[str, os.DirEntry]]) -> tuple[list[ScanFailure], list[str], list[_Row]]:
-    """Failures, lost author ids and rows of listed entries: all parsed, then all built, then all reported."""
-    documents, failures = read_profiles(entries)
-    return (failures, *_build_and_report(documents))
-
-
-def _table_rows(args: argparse.Namespace) -> tuple[list[ScanFailure], list[str], list[_Row]]:
-    """The failures, lost author ids and rows of the directory, a long listing's second half read in a forked child."""
+def _table_rows(
+    args: argparse.Namespace,
+) -> tuple[list[ScanFailure], list[str], list[IndexReport], list[CitationProfile]]:
+    """``_tabulate`` of the directory, a long listing's second half read in a forked child."""
     if not _may_fork():
-        result = scan_directory(args.directory, skip=args.output)  # the one call bench/tracer.py times as ingest.scan
-        return (list(result.failures), *_build_and_report(result.documents))
+        # scan_directory is the one call bench/tracer.py times as ingest.scan
+        return _tabulate(*scan_directory(args.directory, skip=args.output))
     entries = list_profiles(args.directory, skip=args.output)
     split = len(entries) // 2
     if split < max(_TWO_PROCESS_FILES, 1):
-        return _tabulate(entries)
+        return _tabulate(*read_profiles(entries))
     from .loader import in_two_processes  # imported only for a table in two processes
 
-    (failures, lost, rows), (more_failures, more_lost, more_rows) = in_two_processes(entries, split, _tabulate)
-    return failures + more_failures, lost + more_lost, rows + more_rows
+    halves = in_two_processes(entries, split, lambda half: _tabulate(*read_profiles(half)))
+    return tuple(first + rest for first, rest in zip(*halves))
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    failures, lost, rows = _table_rows(args)
+    failures, lost, reports, profiles = _table_rows(args)
     for failure in failures:
         print(f"error: {failure.path}: {failure.error}", file=sys.stderr)
     for author_id in sorted(lost):  # by author id, so that one process and two print them alike
         print(f"error: {args.directory}: {author_id}: out of memory", file=sys.stderr)
-    if not rows:
+    if not reports:
         raise CitemetricError(f"no readable profiles in {args.directory}")
     # Stable, so rows of one author id and c_max keep the listing's order, as they do
     # after scan_directory's sort by author id: the two paths order rows alike.
-    rows.sort(key=lambda row: (-row[0].c_max, row[0].author_id))
-    total = None
-    if args.with_total:
-        total = collective_report(merge_profiles([profile for profile, _ in rows], label="total"))
-    _emit_text(
-        write_report_table([report for _, report in rows], args.format, include_kh=args.include_kh, total=total),
-        args.output,
-    )
+    reports.sort(key=lambda report: (-report.c_max, report.author_id))
+    total = collective_report(merge_profiles(profiles, label="total")) if args.with_total else None
+    _emit_text(write_report_table(reports, args.format, include_kh=args.include_kh, total=total), args.output)
     return 1 if failures or lost else 0
 
 

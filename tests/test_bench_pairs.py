@@ -9,7 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from bench_pairs import (  # noqa: E402  (from scripts/, on the path above)
+import bench_pairs  # noqa: E402  (from scripts/, on the path above)
+from bench_pairs import (  # noqa: E402
     bytecode_cache,
     exact_metrics,
     fork_warning,
@@ -126,3 +127,13 @@ def test_fewer_than_two_usable_cpus_warn_that_the_pairs_measure_one_process():
         "warning: 1 usable CPU, so the CLI never forks and the pairs measure the one-process path only"
     )
     assert fork_warning(2) is None and fork_warning(64) is None
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_a_usage_error_before_any_checkout(monkeypatch, capsys, pairs):
+    # the command line is checked before git runs, so nothing is extracted and nothing measured
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: pytest.fail("git ran"))
+    with pytest.raises(SystemExit) as raised:
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "corpus_table", "--pairs", pairs])
+    assert raised.value.code == 2
+    assert f"argument --pairs: must be at least 1, not {pairs}\n" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from citemetric import synthesize_counts
 from citemetric.cli import main
-from harness import child_env, run_cli, run_python, write_json
+from harness import child_env, run_cli, write_json
 
 
 def test_compute_text_output(tmp_path, capsys):
@@ -558,27 +558,6 @@ def test_table_written_into_its_own_directory_is_not_read_back(tmp_path):
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert [row.split(",")[0] for row in outputs[0].decode().splitlines()] == ["no", "a", "b"]
-
-
-def test_cli_import_loads_no_xml_or_network_modules():
-    # -S keeps site-packages' .pth hooks, which may import these themselves, out of the child
-    code = (
-        "import sys, citemetric.cli; "
-        "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'dataclasses', 'inspect')"
-        " if m in sys.modules))"
-    )
-    child = run_python("-S", "-c", code, encoding="utf-8", check=True)
-    assert child.stdout == "[]\n"
-
-
-def test_the_package_loads_the_standard_library_only():
-    # -S as above; __main__ is the child's own -c code
-    code = (
-        "import sys, citemetric, citemetric.cli, citemetric.synth; "
-        "print(sorted({m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names - {'__main__'}))"
-    )
-    child = run_python("-S", "-c", code, encoding="utf-8", check=True)
-    assert child.stdout == "['citemetric']\n"
 
 
 def test_merge_document_bytes_are_pinned(tmp_path):

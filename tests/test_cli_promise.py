@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citemetric import collective_report, merge_profiles, parse_profile, write_report_table
 from harness import TWO_PROCESSES, run_main
 
 _GOOD_COUNT = st.one_of(st.integers(0, 40), st.sampled_from([2**53 - 1, 2**53]))  # 2**53 is the largest taken
@@ -142,14 +143,18 @@ def test_any_file_bytes_end_in_output_or_error_lines_and_the_exit_code_says_whic
         if command != "table":
             return
         bad = [path for path in paths if run_main(["compute", path])[0] == 1]
-        good = len(paths) - len(bad)
+        good = [path for path in paths if path not in bad]
         assert sorted(line.split(": ")[1] for line in lines[: len(bad)]) == sorted(bad)
         if good and output is not None:
             assert len(lines) == len(bad) + 1  # and the -o target's line
         elif good:
             rows = list(csv.reader(io.StringIO(out.decode("utf-8"), newline="")))[1:]
             assert len(lines) == len(bad)
-            assert len(rows) == good + flag  # and the total row
+            assert len(rows) == len(good) + flag  # and the total row
+            if flag:  # the total row pools exactly the rows shown: the good files' profiles
+                total = collective_report(merge_profiles([parse_profile(path).to_profile() for path in good]))
+                written = write_report_table([], "csv", total=total)
+                assert rows[-1] == list(csv.reader(io.StringIO(written, newline="")))[-1]
         else:
             assert lines[len(bad) :] == [f"error: no readable profiles in {directory}"]
             assert out == b""

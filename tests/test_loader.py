@@ -215,20 +215,6 @@ def test_a_traced_run_loads_every_input_in_its_own_process(tmp_path, monkeypatch
     assert cli._child_half(["a.json", "b.csv", "c.json"]) == 1  # the names are bound again as at import
 
 
-# The child exits 1 if the command, once it has run, left the loader or pickle imported.
-_THEN_LOADER_UNIMPORTED = """
-main = cli.main
-cli.main = lambda args: main(args) or "citemetric.loader" in sys.modules or "pickle" in sys.modules
-"""
-
-
-def test_a_load_in_one_process_leaves_the_loader_unimported(tmp_path):
-    _inputs(tmp_path)
-    args = ("merge", "a.json", "b.csv", "-o", "out.json")
-    child = run_cli(*args, setup=_THEN_LOADER_UNIMPORTED, cwd=tmp_path, encoding="utf-8")
-    assert (child.returncode, child.stderr) == (0, "")
-
-
 def _table_corpus(directory):
     """Seven profiles, two of them author "a"'s: a.json in the first half of the listing, a.csv in the second."""
     directory.mkdir()
@@ -473,6 +459,9 @@ def test_a_profile_that_runs_out_of_memory_in_a_table_costs_only_its_own_row(
     assert [line.split(",")[0] for line in table.decode("utf-8").splitlines()] == [
         "no", "d", "a", "a", "f", "e", "total"
     ]
+    for name in ("b.csv", "c.json"):  # the total pools the rows shown, as a corpus without b and c does
+        (tmp_path / "corpus" / name).unlink()
+    assert table.splitlines()[-1] == run_main(args, limit=NO_LIMIT, out=tmp_path / "out")[3].splitlines()[-1]
 
 
 @pytest.mark.parametrize("end", ["killed", "cut-short"])
@@ -528,13 +517,6 @@ def test_the_child_half_comes_back_whole(tmp_path, monkeypatch, forks, args, sho
     code, stdout, stderr, data = runs[0]
     assert (code, stderr) == (0, b"")
     assert shown in stdout + data
-
-
-def test_a_table_below_the_threshold_leaves_the_loader_unimported(tmp_path):
-    _table_corpus(tmp_path / "corpus")  # seven entries, below the threshold
-    args = ("table", "corpus", "--with-total", "-o", "out.csv")
-    child = run_cli(*args, setup=_THEN_LOADER_UNIMPORTED, cwd=tmp_path, encoding="utf-8")
-    assert (child.returncode, child.stderr) == (0, "")
 
 
 def test_a_table_below_the_threshold_lists_its_directory_once(tmp_path, monkeypatch, forks):

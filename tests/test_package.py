@@ -1,11 +1,13 @@
 """The package's exports, resolved on first access, and the modules each command loads."""
 
 import importlib
+from unittest import mock
 
 import pytest
 
 import citemetric
-from harness import run_python
+from citemetric import cli
+from harness import TWO_PROCESSES, run_python
 
 _EXPORTS = [
     "CitemetricError", "DomainError", "EmptyProfileError", "MissingFieldError", "ParseError", "ProfileDocument",
@@ -55,31 +57,48 @@ def test_a_bare_import_loads_no_submodule_until_one_is_used():
     assert _child(code) == "[] citemetric.ingest citemetric.render citemetric.synth\n"
 
 
-_LOADED = "print(sorted(m for m in ('citemetric.render', 'citemetric.synth', 'decimal') if m in sys.modules))"
-
-
-def test_importing_the_cli_loads_neither_render_synth_nor_decimal():
-    assert _child("import citemetric.cli; " + _LOADED) == "[]\n"
+# The modules whose loading the table below pins: the lazy ones, and costly ones that no command needs.
+_WATCHED = (
+    "citemetric.render", "citemetric.synth", "citemetric.loader", "decimal", "pickle",
+    "xml.sax", "urllib.request", "http.client", "email", "dataclasses", "inspect",
+)
+# The exit code and the watched modules loaded once the child's command has run, then each
+# top-level package loaded that is not the standard library's; __main__ is the child's -c code.
+_LOADED = f"""
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, sorted(m for m in {_WATCHED!r} if m in sys.modules))
+print(sorted({{m.partition(".")[0] for m in sys.modules}} - sys.stdlib_module_names - {{"__main__"}}))
+"""
+_SPLIT = "cli._TWO_PROCESS_BYTES = cli._TWO_PROCESS_FILES = 0"  # any two files or entries load in two processes
+_FORKED = {"citemetric.loader", "pickle"} if TWO_PROCESSES else set()  # the child's half comes back pickled
 
 
 @pytest.mark.parametrize(
-    "args, loaded",
+    "setup, args, loaded",
     [
-        (["compute", "{a}"], []),
-        (["table", "{directory}", "--with-total"], []),
-        (["merge", "{a}", "{b}", "--label", "ab"], []),
-        (["compare", "{a}", "{b}"], []),
-        (["plot", "{a}", "{b}", "--with-merged"], ["citemetric.render"]),
-        (["plot", "{a}", "--format", "csv"], ["citemetric.render"]),
+        pytest.param("", [], set(), id="import-cli"),
+        pytest.param("import citemetric.synth", [], {"citemetric.synth"}, id="import-synth"),
+        pytest.param("", ["compute", "{a}"], set(), id="compute"),
+        pytest.param("", ["table", "{directory}", "--with-total"], set(), id="table"),
+        pytest.param("", ["merge", "{a}", "{b}", "--label", "ab"], set(), id="merge"),
+        pytest.param("", ["compare", "{a}", "{b}"], set(), id="compare"),
+        pytest.param("", ["plot", "{a}", "{b}", "--with-merged"], {"citemetric.render"}, id="plot-svg"),
+        pytest.param("", ["plot", "{a}", "--format", "csv"], {"citemetric.render"}, id="plot-csv"),
+        pytest.param(_SPLIT, ["table", "{directory}", "--with-total"], _FORKED, id="split-table"),
+        pytest.param(_SPLIT, ["merge", "{a}", "{b}", "--label", "ab"], _FORKED, id="split-merge"),
     ],
 )
-def test_a_command_loads_render_only_to_plot(tmp_path, args, loaded):
+def test_each_command_loads_exactly_its_watched_modules_and_the_standard_library_only(tmp_path, setup, args, loaded):
     # [3, 3, 2, 1]: c_s = 9 / 4 is a display tie, which prints without decimal
     (tmp_path / "a.json").write_text('{"author_id": "a", "citations": [3, 3, 2, 1]}', encoding="utf-8")
     (tmp_path / "b.csv").write_text("citations\n5\n1\n", encoding="utf-8")
     names = {"a": tmp_path / "a.json", "b": tmp_path / "b.csv", "directory": tmp_path}
-    argv = [arg.format(**names) for arg in args] + ["-o", str(tmp_path / "out")]
-    code = "from citemetric import cli; code = cli.main(sys.argv[1:]); " + _LOADED.replace("print(", "print(code, ")
-    assert _child(code, *argv).splitlines()[-1] == f"0 {loaded}"  # after merge's report, which -o leaves on stdout
-    if args[0] == "compute":
+    argv = [arg.format(**names) for arg in args] + (["-o", str(tmp_path / "out")] if args else [])
+    if args and not setup:  # at the program's own thresholds, these inputs stay in one process even where it may fork
+        with mock.patch.object(cli, "_may_fork", return_value=True):
+            assert cli._child_half([str(names["a"]), str(names["b"])]) == 2
+    code = f"from citemetric import cli; {setup}" + _LOADED
+    *_, watched, packages = _child(code, *argv).splitlines()  # after merge's report, which -o leaves on stdout
+    assert (watched, packages) == (f"0 {sorted(loaded)}", "['citemetric']")
+    if args[:1] == ["compute"]:
         assert "c_s: 2.3\n" in (tmp_path / "out").read_text(encoding="utf-8")
