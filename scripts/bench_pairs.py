@@ -30,10 +30,11 @@ version and the CPUs this script may run on, which the children inherit;
 with fewer than two, the CLI never loads its inputs in two processes, and a
 warning says that the pairs measure the one-process path only.
 
-BASE and CHANGE are anything ``git archive`` takes; they must hold the
-same ``bench/`` and ``BENCHMARK.json``, so that both sides run one
-harness.  Uncommitted work can be measured as ``$(git stash create)``, a
-commit of the tracked changes that moves no branch.  Stdlib only.
+BASE and CHANGE are anything ``git archive`` takes; a revision git cannot
+read is a usage error that names it.  They must hold the same ``bench/``
+and ``BENCHMARK.json``, so that both sides run one harness.  Uncommitted
+work can be measured as ``$(git stash create)``, a commit of the tracked
+changes that moves no branch.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -179,8 +180,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     git = ["git", "-C", str(ROOT)]
-    if subprocess.run([*git, "diff", "--quiet", args.base, args.change, "--", "bench", "BENCHMARK.json"]).returncode:
+    for side in ("base", "change"):
+        revision = getattr(args, side)
+        tree = subprocess.run([*git, "rev-parse", "--verify", "--quiet", f"{revision}^{{tree}}"], stdout=subprocess.DEVNULL)
+        if tree.returncode:
+            parser.error(f"{side} {revision} is not a revision git can read")
+    diff = subprocess.run([*git, "diff", "--quiet", args.base, args.change, "--", "bench", "BENCHMARK.json"])
+    if diff.returncode == 1:  # git diff --quiet exits 1 for "the files differ" only
         parser.error(f"{args.base} and {args.change} must hold the same bench/ and BENCHMARK.json")
+    diff.check_returncode()
     show = [*git, "show", f"{args.base}:BENCHMARK.json"]
     spec = json.loads(subprocess.run(show, capture_output=True, check=True, encoding="utf-8").stdout)
     workloads = [workload["name"] for workload in spec["workloads"]]

@@ -47,39 +47,20 @@ def line_crossing(profile: CitationProfile, slope: float) -> CrossingPoint:
     c_max, inf included, meets the curve inside the constant extension,
     which caps the crossing ordinate at c_max.
     """
-    return _rational_ray_crossing(profile, *exact_ratio(slope, lambda p, q: p > 0, "slope must be positive, got {}"))
-
-
-def _rational_ray_crossing(profile: CitationProfile, p: int, q: int) -> CrossingPoint:
-    """The crossing with the ray of slope p / q > 0, in integers.
-
-    The crossing segment is C(x) = num + seg * x, so each coordinate is one
-    correctly rounded int / int division, and a crossing exactly on a display
-    tie such as 59.45 stays on it.
-    """
-    check_cited(profile)
-    if p >= profile.c_max * q:
-        return CrossingPoint(r_star=profile.c_max * q / p, c_star=float(profile.c_max))
-    # The first vertex on or below the ray closes the crossing segment (k, k + 1].
-    k = first_vertex(profile, lambda j, c: c * q <= p * j) - 1
-    here = profile.vertex(k)
-    seg = profile.vertex(k + 1) - here
-    num = here - seg * k
-    den = p - seg * q
-    return CrossingPoint(r_star=num * q / den, c_star=p * num / den)
+    return _crossing(profile, 0, *exact_ratio(slope, lambda p, q: p > 0, "slope must be positive, got {}"))
 
 
 def kh1_crossing(profile: CitationProfile) -> CrossingPoint:
     """Crossing with the mean-citation ray, of slope c_s = c_sigma / r."""
-    return _rational_ray_crossing(profile, profile.c_sigma, profile.r)
+    return _crossing(profile, 0, profile.c_sigma, profile.r)
 
 
 def kh3_crossing(profile: CitationProfile) -> CrossingPoint:
     """Crossing with the ray of slope sqrt(c_sigma), exact when c_sigma is a perfect square."""
     root = math.isqrt(profile.c_sigma)  # not math.sqrt, which rounds c_sigma above 2**53
     if root * root == profile.c_sigma:
-        return _rational_ray_crossing(profile, root, 1)
-    return _rational_ray_crossing(profile, *math.sqrt(profile.c_sigma).as_integer_ratio())  # irrational
+        return _crossing(profile, 0, root, 1)
+    return _crossing(profile, 0, *math.sqrt(profile.c_sigma).as_integer_ratio())  # irrational
 
 
 def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
@@ -89,14 +70,30 @@ def level_crossing(profile: CitationProfile, value: float) -> CrossingPoint:
     the top work, (1, c_max), as ``line_crossing`` clamps a steep ray.
     """
     p, q = exact_ratio(value, lambda p, q: p > 0, "level must be positive, got {}")
+    return _crossing(profile, p, 0, q)
+
+
+def _crossing(profile: CitationProfile, a: int, b: int, d: int) -> CrossingPoint:
+    """Where the line c = (a + b * x) / d meets the curve, in integers.
+
+    A ray from the origin has a = 0 < b, a level b = 0 < a, and d = 0 is
+    an infinite slope or level; no other line is asked for.  The crossing
+    segment is C(x) = num + seg * x, so each coordinate is one correctly
+    rounded int / int division, and a crossing exactly on a display tie such
+    as 59.45 stays on it.
+    """
     check_cited(profile)
-    if p >= profile.c_max * q:
-        return CrossingPoint(r_star=1.0, c_star=float(profile.c_max))
-    # C(k) > p / q >= C(k + 1), so the segment is never flat
-    k = first_vertex(profile, lambda j, c: c * q <= p) - 1
+    if a + b >= profile.c_max * d:  # met on the constant extension: a ray there, a level pinned at (1, c_max)
+        return CrossingPoint(r_star=profile.c_max * d / b if b else 1.0, c_star=float(profile.c_max))
+    # The first vertex on or below the line, c * d <= a + b * j, closes the crossing segment (k, k + 1].
+    # Each kind tests its own term, its numbers bound as defaults: local reads, not closure cells.
+    below = (lambda j, c, b=b, d=d: c * d <= b * j) if b else (lambda j, c, a=a, d=d: c * d <= a)
+    k = first_vertex(profile, below) - 1
     here = profile.vertex(k)
     seg = profile.vertex(k + 1) - here
-    return CrossingPoint(r_star=(k * q * seg + p - here * q) / (q * seg), c_star=p / q)
+    num = here - seg * k
+    den = b - seg * d  # > 0: seg <= 0 < b on a ray, and a level, C(k) > a / d >= C(k + 1), never meets a flat segment
+    return CrossingPoint(r_star=(num * d - a) / den, c_star=(b * num - a * seg) / den)
 
 
 def h_index(profile: CitationProfile) -> int:

@@ -137,3 +137,59 @@ def test_fewer_than_one_pair_is_a_usage_error_before_any_checkout(monkeypatch, c
         bench_pairs.main(["HEAD", "HEAD", "--workload", "corpus_table", "--pairs", pairs])
     assert raised.value.code == 2
     assert f"argument --pairs: must be at least 1, not {pairs}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["base", "change"])
+def test_a_revision_git_cannot_read_is_a_usage_error_that_names_it(monkeypatch, capsys, side):
+    revisions = {"base": "HEAD", "change": "HEAD", side: "nosuchrev"}
+    monkeypatch.setattr(bench_pairs, "extract", lambda revision: pytest.fail("extracted"))
+    with pytest.raises(SystemExit) as raised:
+        bench_pairs.main([revisions["base"], revisions["change"], "--workload", "cold_compute"])
+    assert raised.value.code == 2
+    assert f"error: {side} nosuchrev is not a revision git can read\n" in capsys.readouterr().err
+
+
+def _fake_checkouts(monkeypatch, tmp_path, run_once):
+    """Point ``extract`` at empty directories named after the revision, and ``run_once`` at ``run_once``."""
+    def extract(revision):
+        directory = tmp_path / revision.replace("~", "-")
+        directory.mkdir()
+        return directory
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda signum, handler: None)
+    return tmp_path / "HEAD", tmp_path / "HEAD-0"  # two names of one commit, so one harness: base, change
+
+
+def test_pairs_alternate_which_side_runs_first_and_both_checkouts_are_removed(monkeypatch, capsys, tmp_path):
+    names = [metric["name"] for metric in SPEC["end_to_end"]]
+    runs = []
+
+    def run_once(checkout, workload, seed, trace=False):
+        runs.append((checkout.name, workload, seed, trace))
+        return {name: float(seed + (checkout.name == "HEAD")) for name in names}
+
+    base, change = _fake_checkouts(monkeypatch, tmp_path, run_once)
+    assert bench_pairs.main(["HEAD", "HEAD~0", "--workload", "corpus_table", "--pairs", "2"]) == 0
+    assert runs == [
+        ("HEAD", "corpus_table", 1, False), ("HEAD-0", "corpus_table", 1, False),
+        ("HEAD-0", "corpus_table", 2, False), ("HEAD", "corpus_table", 2, False),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("pair ")] == [
+        "pair 1 (base first)", "pair 2 (change first)",
+    ]
+    rows = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert rows == names  # one summary row per metric, in BENCHMARK.json's order
+    assert not base.exists() and not change.exists()
+
+
+def test_both_checkouts_are_removed_when_a_run_fails(monkeypatch, tmp_path):
+    def run_once(checkout, workload, seed, trace=False):
+        raise RuntimeError(f"{checkout}: bench/run.py exited 1")
+
+    base, change = _fake_checkouts(monkeypatch, tmp_path, run_once)
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(["HEAD", "HEAD~0", "--workload", "corpus_table", "--pairs", "2"])
+    assert not base.exists() and not change.exists()

@@ -346,6 +346,7 @@ def test_report_m_absent_without_career_years():
         pytest.param([3, 1, 0, 0], 1.0, 1, 0.5, (2.5, 0.5), id="zeros-after-r"),
         pytest.param([4, 2, 1], 1.0, 1, 4.0, (1.0, 4.0), id="level-at-c-max"),
         pytest.param([4, 2, 1], 1.0, 1, 9.5, (1.0, 4.0), id="level-above-c-max"),
+        pytest.param([4, 2, 1], 1.0, 1, math.inf, (1.0, 4.0), id="level-infinite"),
     ],
 )
 def test_locator_edge_cases(counts, slope, segment, value, level_point):
